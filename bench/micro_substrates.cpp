@@ -1,9 +1,10 @@
 //===- bench/micro_substrates.cpp - Substrate micro-benchmarks -------------===//
 //
 // Classic google-benchmark timings of the substrate layers: MST
-// construction, compact-set detection, edit distance, UPGMM, the
-// evolution simulator and the B&B branching primitive. Useful for
-// regressions and for sizing the virtual-time cost model.
+// construction, compact-set detection and hierarchy linking, edit
+// distance, UPGMM, the evolution simulator and the B&B branching
+// primitive. Useful for regressions and for sizing the virtual-time cost
+// model.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,6 +13,7 @@
 #include "bnb/Arena.h"
 #include "bnb/Engine.h"
 #include "graph/CompactSets.h"
+#include "graph/Hierarchy.h"
 #include "graph/Mst.h"
 #include "heur/NeighborJoining.h"
 #include "heur/Upgma.h"
@@ -30,13 +32,6 @@ void BM_KruskalMst(benchmark::State &State) {
 }
 BENCHMARK(BM_KruskalMst)->Arg(32)->Arg(128)->Arg(512);
 
-void BM_PrimMst(benchmark::State &State) {
-  DistanceMatrix M = bench::unifWorkload(static_cast<int>(State.range(0)), 1);
-  for (auto _ : State)
-    benchmark::DoNotOptimize(primMst(M).size());
-}
-BENCHMARK(BM_PrimMst)->Arg(32)->Arg(128)->Arg(512);
-
 void BM_CompactSetDetection(benchmark::State &State) {
   DistanceMatrix M =
       plantedClusterMetric(static_cast<int>(State.range(0)), 1);
@@ -44,6 +39,14 @@ void BM_CompactSetDetection(benchmark::State &State) {
     benchmark::DoNotOptimize(findCompactSets(M).size());
 }
 BENCHMARK(BM_CompactSetDetection)->Arg(32)->Arg(128)->Arg(512);
+
+void BM_CompactHierarchy(benchmark::State &State) {
+  const int N = static_cast<int>(State.range(0));
+  std::vector<CompactSet> Sets = findCompactSets(plantedClusterMetric(N, 1));
+  for (auto _ : State)
+    benchmark::DoNotOptimize(CompactHierarchy(N, Sets).numNodes());
+}
+BENCHMARK(BM_CompactHierarchy)->Arg(512);
 
 void BM_EditDistanceFull(benchmark::State &State) {
   EvolutionSpec Spec;

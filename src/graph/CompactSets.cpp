@@ -42,8 +42,10 @@ std::vector<CompactSet> mutk::findCompactSets(const DistanceMatrix &M) {
   if (N < 3)
     return Result; // no proper nontrivial subset can exist for n < 3
 
+  // kruskalMst returns the merge sequence: edges in ascending
+  // (weight, U, V) order.
   std::vector<WeightedEdge> Tree = kruskalMst(M);
-  // kruskalMst already returns edges in ascending (weight, U, V) order.
+  const int NumEdges = static_cast<int>(Tree.size());
 
   UnionFind Components(static_cast<std::size_t>(N));
   // Members and the max intra-set distance per component representative.
@@ -51,64 +53,58 @@ std::vector<CompactSet> mutk::findCompactSets(const DistanceMatrix &M) {
   std::vector<double> MaxInside(static_cast<std::size_t>(N), 0.0);
   for (int I = 0; I < N; ++I)
     Members[static_cast<std::size_t>(I)] = {I};
+  // The merge that formed each representative's component (-1: singleton).
+  // A candidate's Min(A, !A) is the lightest MST edge leaving A (cut
+  // property), i.e. the edge of A's next merge; it is settled then, into
+  // the slot of the merge that formed A, so sets keep discovery order.
+  std::vector<int> FormedAt(static_cast<std::size_t>(N), -1);
+  std::vector<CompactSet> Found(static_cast<std::size_t>(NumEdges - 1));
 
-  const int NumEdges = static_cast<int>(Tree.size());
   for (int EdgeIndex = 0; EdgeIndex < NumEdges; ++EdgeIndex) {
     const WeightedEdge &E = Tree[static_cast<std::size_t>(EdgeIndex)];
     int RepA = Components.find(E.U);
     int RepB = Components.find(E.V);
     assert(RepA != RepB && "MST edge endpoints already merged");
 
+    for (int Rep : {RepA, RepB}) {
+      const int Formed = FormedAt[static_cast<std::size_t>(Rep)];
+      const double Inside = MaxInside[static_cast<std::size_t>(Rep)];
+      if (Formed < 0 || !(Inside < E.Weight))
+        continue;
+      CompactSet &Set = Found[static_cast<std::size_t>(Formed)];
+      Set.Members = Members[static_cast<std::size_t>(Rep)];
+      std::sort(Set.Members.begin(), Set.Members.end());
+      Set.MaxInside = Inside;
+      Set.MinOutgoing = E.Weight;
+    }
+
     // Max over the complete graph inside the merged component: old maxima
     // plus all cross pairs. Total cross-pair work over the whole run is
     // O(n^2).
     double CrossMax = 0.0;
-    for (int A : Members[static_cast<std::size_t>(RepA)])
+    for (int A : Members[static_cast<std::size_t>(RepA)]) {
+      const double *Row = M.row(A);
       for (int B : Members[static_cast<std::size_t>(RepB)])
-        CrossMax = std::max(CrossMax, M.at(A, B));
+        CrossMax = std::max(CrossMax, Row[B]);
+    }
 
     int Rep = Components.unite(E.U, E.V);
     int Other = (Rep == RepA) ? RepB : RepA;
-    double MergedMax = std::max({MaxInside[static_cast<std::size_t>(RepA)],
-                                 MaxInside[static_cast<std::size_t>(RepB)],
-                                 CrossMax});
-    MaxInside[static_cast<std::size_t>(Rep)] = MergedMax;
+    MaxInside[static_cast<std::size_t>(Rep)] =
+        std::max({MaxInside[static_cast<std::size_t>(RepA)],
+                  MaxInside[static_cast<std::size_t>(RepB)], CrossMax});
+    FormedAt[static_cast<std::size_t>(Rep)] = EdgeIndex;
     auto &Into = Members[static_cast<std::size_t>(Rep)];
     auto &From = Members[static_cast<std::size_t>(Other)];
     Into.insert(Into.end(), From.begin(), From.end());
     From.clear();
     From.shrink_to_fit();
-
-    // The final merge yields the whole species set, which is excluded.
-    if (EdgeIndex == NumEdges - 1)
-      break;
-
-    // Min(A, !A) = lightest remaining MST edge crossing the cut. Remaining
-    // MST edges always join two *distinct* current components, so "crosses
-    // the cut" is exactly "one endpoint in Rep".
-    double MinOutgoing = std::numeric_limits<double>::infinity();
-    for (int J = EdgeIndex + 1; J < NumEdges; ++J) {
-      const WeightedEdge &Later = Tree[static_cast<std::size_t>(J)];
-      bool UIn = Components.find(Later.U) == Rep;
-      bool VIn = Components.find(Later.V) == Rep;
-      assert(!(UIn && VIn) && "future MST edge inside one component");
-      if (UIn != VIn) {
-        MinOutgoing = Later.Weight;
-        break;
-      }
-    }
-    assert(MinOutgoing < std::numeric_limits<double>::infinity() &&
-           "non-final component must have an outgoing MST edge");
-
-    if (MergedMax < MinOutgoing) {
-      CompactSet Set;
-      Set.Members = Into;
-      std::sort(Set.Members.begin(), Set.Members.end());
-      Set.MaxInside = MergedMax;
-      Set.MinOutgoing = MinOutgoing;
-      Result.push_back(std::move(Set));
-    }
   }
+  // The final merge yields the whole species set, which is excluded; every
+  // earlier component merged again, so every slot has been settled.
+  for (CompactSet &Set : Found)
+    if (!Set.Members.empty())
+      Result.push_back(std::move(Set));
   return Result;
 }
 

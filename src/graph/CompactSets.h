@@ -11,13 +11,14 @@
 ///    disjoint), so they form a hierarchy.
 ///  * Lemma 4: a compact set induces a connected subtree of the MST, so
 ///    every compact set appears as a component during Kruskal's merge
-///    sequence — which is what makes the O(n^2 log n) detector below exact.
+///    sequence — which is what makes the O(n^2) detector below exact.
 ///
 /// The detector implements the paper's "Algorithm Compact Sets": run
-/// Kruskal in ascending edge order and, after every merge, test the merged
-/// component. `Max(A)` is maintained incrementally over the *complete*
-/// graph; `Min(A, !A)` is the lightest remaining MST edge crossing the cut
-/// (MST cut property). A brute-force subset enumerator is provided as the
+/// Kruskal in ascending edge order and test every merged component.
+/// `Max(A)` is maintained incrementally over the *complete* graph;
+/// `Min(A, !A)` is the lightest MST edge crossing the cut (MST cut
+/// property), which is the edge of A's next merge, so it is read off when
+/// that merge happens. A brute-force subset enumerator is provided as the
 /// reference oracle for tests.
 ///
 //===----------------------------------------------------------------------===//
@@ -51,7 +52,7 @@ bool isCompactSet(const DistanceMatrix &M, const std::vector<int> &Members);
 
 /// Finds every *proper, nontrivial* compact set (`2 <= |S| < n`) via the
 /// Kruskal merge sequence. Results are ordered by ascending `MaxInside`
-/// (i.e. discovery order), members sorted ascending. O(n^2 log n).
+/// (i.e. discovery order), members sorted ascending. O(n^2).
 std::vector<CompactSet> findCompactSets(const DistanceMatrix &M);
 
 /// Reference oracle: enumerates all `2^n` subsets. Requires `n <= 22`.

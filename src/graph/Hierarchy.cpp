@@ -35,6 +35,10 @@ CompactHierarchy::CompactHierarchy(int NumSpecies,
             });
   Lists.erase(std::unique(Lists.begin(), Lists.end()), Lists.end());
 
+  // The root, one node per list and one leaf per species: the leaf loop
+  // below appends while it reads node(Id).Species, so Nodes never grows.
+  Nodes.reserve(1 + Lists.size() + static_cast<std::size_t>(NumSpecies));
+
   // Root covers everything.
   Node Root;
   Root.Species.resize(static_cast<std::size_t>(NumSpecies));
@@ -43,39 +47,29 @@ CompactHierarchy::CompactHierarchy(int NumSpecies,
   Nodes.push_back(std::move(Root));
   RootId = 0;
 
-  auto contains = [](const std::vector<int> &Outer,
-                     const std::vector<int> &Inner) {
-    return std::includes(Outer.begin(), Outer.end(), Inner.begin(),
-                         Inner.end());
-  };
-
-  // Link each set under the smallest already-placed superset. Because the
-  // lists are processed largest-first and the family is laminar, the
-  // correct parent is the most recently placed superset.
+  // Owner[S] is the deepest node placed so far that contains species S.
+  // Lists come largest first and the family is laminar, so the deepest
+  // placed set holding a list's first member is its smallest strict
+  // superset: its parent.
+  std::vector<int> Owner(static_cast<std::size_t>(NumSpecies), RootId);
   for (auto &List : Lists) {
-    int Parent = RootId;
-    for (int Id = 1; Id < numNodes(); ++Id)
-      if (node(Id).Species.size() > List.size() &&
-          contains(node(Id).Species, List) &&
-          node(Id).Species.size() < node(Parent).Species.size())
-        Parent = Id;
+    const int Id = numNodes();
+    const int Parent = Owner[static_cast<std::size_t>(List.front())];
+    for (int Species : List)
+      Owner[static_cast<std::size_t>(Species)] = Id;
     Node New;
     New.Species = std::move(List);
     New.Parent = Parent;
     Nodes.push_back(std::move(New));
-    Nodes[static_cast<std::size_t>(Parent)].Children.push_back(numNodes() -
-                                                               1);
+    Nodes[static_cast<std::size_t>(Parent)].Children.push_back(Id);
   }
 
-  // Add singleton leaves for species not covered by any child of a node.
+  // A species whose deepest set is node Id is covered by none of Id's
+  // children: it becomes a singleton leaf under Id.
   const int NumInternal = numNodes();
-  for (int Id = 0; Id < NumInternal; ++Id) {
-    std::vector<bool> Covered(static_cast<std::size_t>(NumSpecies), false);
-    for (int Child : node(Id).Children)
-      for (int Species : node(Child).Species)
-        Covered[static_cast<std::size_t>(Species)] = true;
+  for (int Id = 0; Id < NumInternal; ++Id)
     for (int Species : node(Id).Species) {
-      if (Covered[static_cast<std::size_t>(Species)])
+      if (Owner[static_cast<std::size_t>(Species)] != Id)
         continue;
       Node Leaf;
       Leaf.Species = {Species};
@@ -83,7 +77,6 @@ CompactHierarchy::CompactHierarchy(int NumSpecies,
       Nodes.push_back(std::move(Leaf));
       Nodes[static_cast<std::size_t>(Id)].Children.push_back(numNodes() - 1);
     }
-  }
 }
 
 std::vector<std::vector<int>> CompactHierarchy::partitionAt(int Id) const {

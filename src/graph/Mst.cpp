@@ -5,8 +5,8 @@
 #include "support/UnionFind.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
+#include <numeric>
 
 using namespace mutk;
 
@@ -18,16 +18,14 @@ bool mutk::edgeLess(const WeightedEdge &A, const WeightedEdge &B) {
   return A.V < B.V;
 }
 
-std::vector<WeightedEdge> mutk::sortedCompleteEdges(const DistanceMatrix &M) {
-  std::vector<WeightedEdge> Edges;
-  const int N = M.size();
-  Edges.reserve(static_cast<std::size_t>(N) * (N - 1) / 2);
-  for (int I = 0; I < N; ++I)
-    for (int J = I + 1; J < N; ++J)
-      Edges.push_back(WeightedEdge{I, J, M.at(I, J)});
-  std::sort(Edges.begin(), Edges.end(), edgeLess);
-  return Edges;
+namespace {
+
+/// The edge {A, B} of weight \p W in canonical `U < V` orientation.
+WeightedEdge canonicalEdge(int A, int B, double W) {
+  return A < B ? WeightedEdge{A, B, W} : WeightedEdge{B, A, W};
 }
+
+} // namespace
 
 std::vector<WeightedEdge> mutk::kruskalMst(const DistanceMatrix &M) {
   const int N = M.size();
@@ -35,58 +33,48 @@ std::vector<WeightedEdge> mutk::kruskalMst(const DistanceMatrix &M) {
   if (N < 2)
     return Tree;
   Tree.reserve(static_cast<std::size_t>(N - 1));
-  UnionFind Components(static_cast<std::size_t>(N));
-  for (const WeightedEdge &E : sortedCompleteEdges(M)) {
-    if (Components.unite(E.U, E.V) < 0)
-      continue;
-    Tree.push_back(E);
-    if (static_cast<int>(Tree.size()) == N - 1)
-      break;
-  }
-  return Tree;
-}
 
-std::vector<WeightedEdge> mutk::primMst(const DistanceMatrix &M) {
-  const int N = M.size();
-  std::vector<WeightedEdge> Tree;
-  if (N < 2)
-    return Tree;
-  Tree.reserve(static_cast<std::size_t>(N - 1));
+  // Dense Prim under edgeLess. (Weight, U, V) is a strict total order, so
+  // the MST is unique and Prim grows exactly the tree Kruskal accepts.
+  // Best[V] and From[V] hold the lightest edge from V into the tree;
+  // Outside lists the vertices not yet in it, in no particular order.
+  std::vector<double> Best(M.row(0), M.row(0) + N);
+  std::vector<int> From(static_cast<std::size_t>(N), 0);
+  std::vector<int> Outside(static_cast<std::size_t>(N - 1));
+  std::iota(Outside.begin(), Outside.end(), 1);
 
-  std::vector<bool> InTree(static_cast<std::size_t>(N), false);
-  std::vector<double> Best(static_cast<std::size_t>(N),
-                           std::numeric_limits<double>::infinity());
-  std::vector<int> BestFrom(static_cast<std::size_t>(N), -1);
-
-  InTree[0] = true;
-  for (int V = 1; V < N; ++V) {
-    Best[static_cast<std::size_t>(V)] = M.at(0, V);
-    BestFrom[static_cast<std::size_t>(V)] = 0;
-  }
-
-  for (int Step = 1; Step < N; ++Step) {
-    int Next = -1;
-    for (int V = 0; V < N; ++V) {
-      if (InTree[static_cast<std::size_t>(V)])
-        continue;
-      if (Next < 0 ||
-          Best[static_cast<std::size_t>(V)] < Best[static_cast<std::size_t>(Next)])
-        Next = V;
-    }
-    assert(Next >= 0 && "graph must be connected (it is complete)");
-    int From = BestFrom[static_cast<std::size_t>(Next)];
-    Tree.push_back(WeightedEdge{std::min(From, Next), std::max(From, Next),
-                                M.at(From, Next)});
-    InTree[static_cast<std::size_t>(Next)] = true;
-    for (int V = 0; V < N; ++V) {
-      if (InTree[static_cast<std::size_t>(V)])
-        continue;
-      if (M.at(Next, V) < Best[static_cast<std::size_t>(V)]) {
-        Best[static_cast<std::size_t>(V)] = M.at(Next, V);
-        BestFrom[static_cast<std::size_t>(V)] = Next;
+  int Next = 0; // the vertex that joined the tree last
+  while (!Outside.empty()) {
+    // One pass relaxes every outside vertex against Next and picks the
+    // lightest candidate; (U, V) is only consulted on equal weights.
+    const double *Row = M.row(Next);
+    std::size_t Pick = 0;
+    double PickWeight = std::numeric_limits<double>::infinity();
+    for (std::size_t K = 0; K < Outside.size(); ++K) {
+      const int V = Outside[K];
+      const double W = Row[V];
+      if (W < Best[V] ||
+          (W == Best[V] && edgeLess(canonicalEdge(Next, V, W),
+                                    canonicalEdge(From[V], V, W)))) {
+        Best[V] = W;
+        From[V] = Next;
+      }
+      if (Best[V] < PickWeight ||
+          (Best[V] == PickWeight &&
+           edgeLess(canonicalEdge(From[V], V, PickWeight),
+                    canonicalEdge(From[Outside[Pick]], Outside[Pick],
+                                  PickWeight)))) {
+        Pick = K;
+        PickWeight = Best[V];
       }
     }
+    Next = Outside[Pick];
+    Tree.push_back(canonicalEdge(From[Next], Next, Best[Next]));
+    Outside[Pick] = Outside.back();
+    Outside.pop_back();
   }
+  // Kruskal accepts the tree edges in ascending edgeLess order.
+  std::sort(Tree.begin(), Tree.end(), edgeLess);
   return Tree;
 }
 

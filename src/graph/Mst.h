@@ -3,8 +3,9 @@
 /// \file
 /// A distance matrix is viewed as a complete, weighted, undirected graph
 /// (paper §2). Compact-set detection starts from a minimum spanning tree of
-/// that graph (paper §3.1 uses Kruskal); Prim's algorithm is also provided
-/// as an independent implementation used to cross-check MST weight in tests.
+/// that graph, taken in Kruskal's acceptance order (paper §3.1). Edges are
+/// ordered by (weight, U, V), a strict total order, so the tree is unique
+/// and a dense O(n^2) Prim builds it without sorting all n(n-1)/2 edges.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,23 +29,16 @@ struct WeightedEdge {
   }
 };
 
-/// Compares by (weight, U, V); gives Kruskal a deterministic edge order
-/// even in the presence of ties.
+/// Compares by (weight, U, V): a strict total order on the edges, so the
+/// minimum spanning tree and its Kruskal order are unique even under ties.
 bool edgeLess(const WeightedEdge &A, const WeightedEdge &B);
 
-/// All `n(n-1)/2` edges of the complete graph of \p M, sorted by
-/// `edgeLess`.
-std::vector<WeightedEdge> sortedCompleteEdges(const DistanceMatrix &M);
-
-/// Kruskal MST of the complete graph of \p M.
+/// The minimum spanning tree of the complete graph of \p M under
+/// `edgeLess`, built by a dense Prim in O(n^2) time and O(n) extra space.
 ///
-/// \returns the `n - 1` tree edges in the order they were accepted
-/// (ascending weight). Deterministic under ties via `edgeLess`.
+/// \returns the `n - 1` tree edges in the order Kruskal accepts them
+/// (ascending `edgeLess`). Deterministic under ties.
 std::vector<WeightedEdge> kruskalMst(const DistanceMatrix &M);
-
-/// Prim MST of the complete graph of \p M (O(n^2), no edge sort).
-/// Edge order follows vertex insertion; total weight equals Kruskal's.
-std::vector<WeightedEdge> primMst(const DistanceMatrix &M);
 
 /// Sum of edge weights.
 double totalWeight(const std::vector<WeightedEdge> &Edges);

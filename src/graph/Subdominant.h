@@ -20,14 +20,14 @@
 
 namespace mutk {
 
-/// Computes the subdominant ultrametric of \p M in O(n^2 log n)
+/// Computes the subdominant ultrametric of \p M in O(n^2)
 /// (Kruskal merge order; each merge fixes all cross-component entries to
 /// the current edge weight).
 DistanceMatrix subdominantUltrametric(const DistanceMatrix &M);
 
 /// MST-based ultrametric recognition: true iff \p M equals its
 /// subdominant within \p Tolerance. Equivalent to the O(n^3) triple
-/// check `isUltrametric`, but quadratic after the MST sort.
+/// check `isUltrametric`, but quadratic.
 bool isUltrametricFast(const DistanceMatrix &M, double Tolerance = 1e-9);
 
 /// Largest gap `M[i,j] - U[i,j]` to the subdominant — a measure of how

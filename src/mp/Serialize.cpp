@@ -81,7 +81,8 @@ bool ByteReader::readString(std::string &Value) {
     return false;
   if (Position + Length > Bytes.size())
     return false;
-  Value.assign(reinterpret_cast<const char *>(&Bytes[Position]), Length);
+  Value.assign(reinterpret_cast<const char *>(Bytes.data() + Position),
+               Length);
   Position += Length;
   return true;
 }

@@ -112,7 +112,7 @@ double CostModel::predictNodes(const DifficultyProfile &Profile,
                                int MaxExactBlockSize) const {
   int Cap = std::max(1, MaxExactBlockSize);
   double N = static_cast<double>(std::max(0, Profile.Species));
-  // Decomposition + condensation overhead, O(n^2 log n) charged as n^2
+  // Decomposition + condensation overhead, O(n^2), charged as n^2
   // node-equivalents.
   double Nodes = Options.OverheadPerPair * N * N;
 

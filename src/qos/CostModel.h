@@ -4,7 +4,7 @@
 /// Predicts how expensive a build request will be *before* a worker
 /// commits to it, from statistics the paper's own pipeline makes cheap:
 /// a dry-run compact-set decomposition (`findCompactSets` +
-/// `CompactHierarchy`, O(n^2 log n), no solver) yields the block-size
+/// `CompactHierarchy`, O(n^2), no solver) yields the block-size
 /// profile that dominates branch-and-bound cost, and the metric's
 /// spread (max/min off-diagonal distance) separates well-clustered
 /// matrices — where condensation splits the problem and B&B prunes well
@@ -73,7 +73,7 @@ struct CostModelOptions {
   /// well-separated ones.
   double HardnessGain = 4.0;
   /// Per-species node-equivalent of the decomposition + condensation
-  /// overhead (the O(n^2 log n) part, charged as Overhead * n^2).
+  /// overhead (the O(n^2) part, charged as Overhead * n^2).
   double OverheadPerPair = 0.05;
   /// Node-equivalents per species^3 of an agglomerative (UPGMM) solve,
   /// used both for oversized blocks inside the pipeline and for the
@@ -88,7 +88,7 @@ public:
 
   /// Computes the dry-run profile of \p M (no memoization, no solver):
   /// compact-set detection, hierarchy construction and per-node
-  /// partition sizes. O(n^2 log n).
+  /// partition sizes. O(n^2).
   static DifficultyProfile computeProfile(const DistanceMatrix &M);
 
   /// Memoized `computeProfile`: keyed by the relabeling-invariant

@@ -305,6 +305,28 @@ TEST(ProtocolCodec, RequestByteFlipsNeverCrash) {
 }
 
 //===----------------------------------------------------------------------===//
+// Byte codec primitives
+//===----------------------------------------------------------------------===//
+
+TEST(ByteCodec, FrameEndingInEmptyStringDecodes) {
+  // The empty string's payload starts one past the last byte, which a
+  // bounds-checked element access rejects even though nothing is read.
+  ByteWriter W;
+  W.writeU32(7);
+  W.writeString("");
+  std::vector<std::uint8_t> Bytes = W.take();
+  ByteReader R(Bytes);
+  std::uint32_t Value = 0;
+  std::string Text = "stale";
+  ASSERT_TRUE(R.readU32(Value));
+  ASSERT_TRUE(R.readString(Text));
+  EXPECT_EQ(Value, 7u);
+  EXPECT_EQ(Text, "");
+  EXPECT_TRUE(R.atEnd());
+  EXPECT_FALSE(R.readString(Text));
+}
+
+//===----------------------------------------------------------------------===//
 // Shard-cache entries (CacheHit / CacheInsert bodies)
 //===----------------------------------------------------------------------===//
 
