@@ -12,6 +12,7 @@
 #define MUTK_MATRIX_DISTANCEMATRIX_H
 
 #include <cassert>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,9 @@ public:
 
   /// Creates an `n x n` zero matrix with default species names `s0..s{n-1}`.
   explicit DistanceMatrix(int NumSpecies);
+
+  /// Creates a zero matrix with one species per name in \p Names.
+  explicit DistanceMatrix(std::vector<std::string> Names);
 
   /// Number of species (rows/columns).
   int size() const { return N; }
@@ -57,6 +61,21 @@ public:
     assert(Value >= 0.0 && "distances are nonnegative");
     Data[static_cast<std::size_t>(I) * N + J] = Value;
     Data[static_cast<std::size_t>(J) * N + I] = Value;
+  }
+
+  /// Fills the matrix from its upper triangle, rows in order, then
+  /// mirrors it into the lower triangle. For row I, `FillRow(Upper, Count)`
+  /// writes the `Count = n - I - 1` entries `(I, I+1) .. (I, n-1)` to
+  /// `Upper` and returns false to stop; the entries must be nonnegative
+  /// (a caller filling from outside input validates them). \returns false
+  /// when a row fill stopped, leaving the contents unspecified.
+  template <typename FillRowFn> bool fillUpperRows(FillRowFn &&FillRow) {
+    for (int I = 0; I < N; ++I)
+      if (!FillRow(Data.data() + static_cast<std::size_t>(I) * N + I + 1,
+                   static_cast<std::size_t>(N - I - 1)))
+        return false;
+    mirrorUpperTriangle();
+    return true;
   }
 
   /// Returns the name of species \p I.
@@ -92,6 +111,9 @@ public:
   bool approxEquals(const DistanceMatrix &Other, double Tolerance) const;
 
 private:
+  /// Copies every upper-triangle entry onto its lower-triangle twin.
+  void mirrorUpperTriangle();
+
   int N = 0;
   std::vector<double> Data;
   std::vector<std::string> Names;

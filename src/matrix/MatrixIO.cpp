@@ -71,7 +71,8 @@ bool parseDouble(const std::string &Token, double &Out) {
     return false;
   char *End = nullptr;
   Out = std::strtod(Token.c_str(), &End);
-  return End == Token.c_str() + Token.size();
+  // strtod also parses "inf" and "nan", which no distance may be.
+  return End == Token.c_str() + Token.size() && std::isfinite(Out);
 }
 
 } // namespace

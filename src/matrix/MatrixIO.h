@@ -15,9 +15,9 @@
 /// name followed by a full row of distances. Parsing is line-oriented
 /// and tolerant of CRLF line endings, trailing whitespace and blank
 /// lines (anywhere), but strict about everything else: extra tokens on
-/// a line, partial rows, non-numeric entries, trailing garbage after
-/// the last row, asymmetry and a nonzero diagonal are all reported as
-/// errors naming the first problem found.
+/// a line, partial rows, non-numeric or non-finite (`inf`, `nan`)
+/// entries, trailing garbage after the last row, asymmetry and a nonzero
+/// diagonal are all reported as errors naming the first problem found.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -2,18 +2,49 @@
 
 #include "mp/Serialize.h"
 
+#include <bit>
 #include <cstring>
+#include <limits>
 
 using namespace mutk;
 
+namespace {
+
+/// The wire is little-endian: on a little-endian host a value's memory
+/// image already is its encoding, so scalars and f64 runs copy whole.
+constexpr bool HostIsLittleEndian = std::endian::native == std::endian::little;
+
+template <typename T>
+void appendLittleEndian(std::vector<std::uint8_t> &Out, T Value) {
+  const std::size_t At = Out.size();
+  Out.resize(At + sizeof(T));
+  if constexpr (HostIsLittleEndian) {
+    std::memcpy(Out.data() + At, &Value, sizeof(T));
+  } else {
+    for (std::size_t I = 0; I < sizeof(T); ++I)
+      Out[At + I] = static_cast<std::uint8_t>(Value >> (8 * I));
+  }
+}
+
+template <typename T> T loadLittleEndian(const std::uint8_t *Bytes) {
+  T Value = 0;
+  if constexpr (HostIsLittleEndian) {
+    std::memcpy(&Value, Bytes, sizeof(T));
+  } else {
+    for (std::size_t I = 0; I < sizeof(T); ++I)
+      Value |= static_cast<T>(Bytes[I]) << (8 * I);
+  }
+  return Value;
+}
+
+} // namespace
+
 void ByteWriter::writeU32(std::uint32_t Value) {
-  for (int Shift = 0; Shift < 32; Shift += 8)
-    Buffer.push_back(static_cast<std::uint8_t>(Value >> Shift));
+  appendLittleEndian(Buffer, Value);
 }
 
 void ByteWriter::writeU64(std::uint64_t Value) {
-  for (int Shift = 0; Shift < 64; Shift += 8)
-    Buffer.push_back(static_cast<std::uint8_t>(Value >> Shift));
+  appendLittleEndian(Buffer, Value);
 }
 
 void ByteWriter::writeF64(double Value) {
@@ -23,10 +54,19 @@ void ByteWriter::writeF64(double Value) {
   writeU64(Bits);
 }
 
+void ByteWriter::writeF64s(const double *Values, std::size_t Count) {
+  if constexpr (HostIsLittleEndian) {
+    const auto *Bytes = reinterpret_cast<const std::uint8_t *>(Values);
+    Buffer.insert(Buffer.end(), Bytes, Bytes + Count * sizeof(double));
+  } else {
+    for (std::size_t I = 0; I < Count; ++I)
+      writeF64(Values[I]);
+  }
+}
+
 void ByteWriter::writeString(const std::string &Value) {
   writeU32(static_cast<std::uint32_t>(Value.size()));
-  for (char C : Value)
-    Buffer.push_back(static_cast<std::uint8_t>(C));
+  Buffer.insert(Buffer.end(), Value.begin(), Value.end());
 }
 
 void ByteWriter::writeBytes(const std::vector<std::uint8_t> &Value) {
@@ -35,18 +75,17 @@ void ByteWriter::writeBytes(const std::vector<std::uint8_t> &Value) {
 }
 
 bool ByteReader::readU8(std::uint8_t &Value) {
-  if (Position + 1 > Bytes.size())
+  if (remaining() < 1)
     return false;
   Value = Bytes[Position++];
   return true;
 }
 
 bool ByteReader::readU32(std::uint32_t &Value) {
-  if (Position + 4 > Bytes.size())
+  if (remaining() < 4)
     return false;
-  Value = 0;
-  for (int Shift = 0; Shift < 32; Shift += 8)
-    Value |= static_cast<std::uint32_t>(Bytes[Position++]) << Shift;
+  Value = loadLittleEndian<std::uint32_t>(Bytes.data() + Position);
+  Position += 4;
   return true;
 }
 
@@ -59,11 +98,10 @@ bool ByteReader::readI32(std::int32_t &Value) {
 }
 
 bool ByteReader::readU64(std::uint64_t &Value) {
-  if (Position + 8 > Bytes.size())
+  if (remaining() < 8)
     return false;
-  Value = 0;
-  for (int Shift = 0; Shift < 64; Shift += 8)
-    Value |= static_cast<std::uint64_t>(Bytes[Position++]) << Shift;
+  Value = loadLittleEndian<std::uint64_t>(Bytes.data() + Position);
+  Position += 8;
   return true;
 }
 
@@ -75,11 +113,24 @@ bool ByteReader::readF64(double &Value) {
   return true;
 }
 
+bool ByteReader::readF64s(double *Values, std::size_t Count) {
+  if (remaining() / sizeof(double) < Count)
+    return false;
+  if constexpr (HostIsLittleEndian) {
+    std::memcpy(Values, Bytes.data() + Position, Count * sizeof(double));
+    Position += Count * sizeof(double);
+  } else {
+    for (std::size_t I = 0; I < Count; ++I)
+      readF64(Values[I]);
+  }
+  return true;
+}
+
 bool ByteReader::readString(std::string &Value) {
   std::uint32_t Length;
   if (!readU32(Length))
     return false;
-  if (Position + Length > Bytes.size())
+  if (Length > remaining())
     return false;
   Value.assign(reinterpret_cast<const char *>(Bytes.data() + Position),
                Length);
@@ -91,7 +142,7 @@ bool ByteReader::readBytes(std::vector<std::uint8_t> &Value) {
   std::uint32_t Length;
   if (!readU32(Length))
     return false;
-  if (Position + Length > Bytes.size())
+  if (Length > remaining())
     return false;
   Value.assign(Bytes.begin() + static_cast<std::ptrdiff_t>(Position),
                Bytes.begin() + static_cast<std::ptrdiff_t>(Position + Length));
@@ -155,14 +206,70 @@ mutk::decodeTopology(const std::vector<std::uint8_t> &Bytes) {
   return T;
 }
 
+namespace {
+
+/// Species count a standalone `decodeMatrix` accepts; the service
+/// protocol passes its own, lower cap.
+constexpr std::uint32_t MaxMatrixSpecies = 100000;
+
+std::uint64_t numPairs(std::uint64_t NumSpecies) {
+  return NumSpecies < 2 ? 0 : NumSpecies * (NumSpecies - 1) / 2;
+}
+
+/// Every distance finite and nonnegative: `>= 0` fails for NaN and
+/// negatives, `<= max` for +inf. No early exit, so the loop vectorizes.
+bool allFiniteNonNegative(const double *Values, std::size_t Count) {
+  bool Ok = true;
+  for (std::size_t I = 0; I < Count; ++I)
+    Ok &= Values[I] >= 0.0 && Values[I] <= std::numeric_limits<double>::max();
+  return Ok;
+}
+
+} // namespace
+
+std::size_t mutk::matrixWireBytes(const DistanceMatrix &M) {
+  std::size_t Bytes = 4 + 8 * numPairs(static_cast<std::uint64_t>(M.size()));
+  for (const std::string &Name : M.names())
+    Bytes += 4 + Name.size();
+  return Bytes;
+}
+
+void mutk::writeMatrix(ByteWriter &Writer, const DistanceMatrix &M) {
+  const int N = M.size();
+  Writer.writeU32(static_cast<std::uint32_t>(N));
+  for (const std::string &Name : M.names())
+    Writer.writeString(Name);
+  for (int I = 0; I < N; ++I)
+    Writer.writeF64s(M.row(I) + I + 1, static_cast<std::size_t>(N - I - 1));
+}
+
+bool mutk::readMatrix(ByteReader &Reader, DistanceMatrix &M,
+                      std::uint32_t MaxSpecies) {
+  std::uint32_t N = 0;
+  if (!Reader.readU32(N) || N > MaxSpecies)
+    return false;
+  // A forged count must not buy an allocation its payload cannot back.
+  if (Reader.remaining() / 4 < N ||
+      (Reader.remaining() - 4 * std::size_t{N}) / 8 < numPairs(N))
+    return false;
+  std::vector<std::string> Names(N);
+  for (std::string &Name : Names)
+    if (!Reader.readString(Name))
+      return false;
+  DistanceMatrix Out(std::move(Names));
+  if (!Out.fillUpperRows([&](double *Upper, std::size_t Count) {
+        return Reader.readF64s(Upper, Count) &&
+               allFiniteNonNegative(Upper, Count);
+      }))
+    return false;
+  M = std::move(Out);
+  return true;
+}
+
 std::vector<std::uint8_t> mutk::encodeMatrix(const DistanceMatrix &M) {
   ByteWriter Writer;
-  Writer.writeU32(static_cast<std::uint32_t>(M.size()));
-  for (int I = 0; I < M.size(); ++I)
-    Writer.writeString(M.name(I));
-  for (int I = 0; I < M.size(); ++I)
-    for (int J = I + 1; J < M.size(); ++J)
-      Writer.writeF64(M.at(I, J));
+  Writer.reserve(matrixWireBytes(M));
+  writeMatrix(Writer, M);
   return Writer.take();
 }
 
@@ -325,24 +432,8 @@ mutk::decodeSearchCheckpoint(const std::vector<std::uint8_t> &Bytes) {
 std::optional<DistanceMatrix>
 mutk::decodeMatrix(const std::vector<std::uint8_t> &Bytes) {
   ByteReader Reader(Bytes);
-  std::uint32_t N;
-  if (!Reader.readU32(N) || N > 100000)
-    return std::nullopt;
-  DistanceMatrix M(static_cast<int>(N));
-  for (std::uint32_t I = 0; I < N; ++I) {
-    std::string Name;
-    if (!Reader.readString(Name))
-      return std::nullopt;
-    M.setName(static_cast<int>(I), std::move(Name));
-  }
-  for (std::uint32_t I = 0; I < N; ++I)
-    for (std::uint32_t J = I + 1; J < N; ++J) {
-      double Value;
-      if (!Reader.readF64(Value) || Value < 0.0)
-        return std::nullopt;
-      M.set(static_cast<int>(I), static_cast<int>(J), Value);
-    }
-  if (!Reader.atEnd())
+  DistanceMatrix M;
+  if (!readMatrix(Reader, M, MaxMatrixSpecies) || !Reader.atEnd())
     return std::nullopt;
   return M;
 }

@@ -17,6 +17,7 @@
 #include "matrix/DistanceMatrix.h"
 #include "tree/PhyloTree.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -30,6 +31,11 @@ public:
   std::vector<std::uint8_t> take() { return std::move(Buffer); }
   const std::vector<std::uint8_t> &bytes() const { return Buffer; }
 
+  /// Makes room for \p Extra more bytes in one allocation. Meant to be
+  /// called once with a payload's exact size, not per field: repeated
+  /// small reservations defeat the buffer's geometric growth.
+  void reserve(std::size_t Extra) { Buffer.reserve(Buffer.size() + Extra); }
+
   void writeU8(std::uint8_t Value) { Buffer.push_back(Value); }
   void writeU32(std::uint32_t Value);
   void writeI32(std::int32_t Value) {
@@ -37,6 +43,8 @@ public:
   }
   void writeU64(std::uint64_t Value);
   void writeF64(double Value);
+  /// Appends \p Count doubles, bit-exact, 8 little-endian bytes each.
+  void writeF64s(const double *Values, std::size_t Count);
   void writeString(const std::string &Value);
   /// Length-prefixed raw byte blob (u32 size + bytes).
   void writeBytes(const std::vector<std::uint8_t> &Value);
@@ -53,12 +61,16 @@ public:
       : Bytes(Bytes) {}
 
   bool atEnd() const { return Position == Bytes.size(); }
+  /// Bytes not yet consumed.
+  std::size_t remaining() const { return Bytes.size() - Position; }
 
   bool readU8(std::uint8_t &Value);
   bool readU32(std::uint32_t &Value);
   bool readI32(std::int32_t &Value);
   bool readU64(std::uint64_t &Value);
   bool readF64(double &Value);
+  /// Reads \p Count doubles written by `writeF64s` into \p Values.
+  bool readF64s(double *Values, std::size_t Count);
   bool readString(std::string &Value);
   bool readBytes(std::vector<std::uint8_t> &Value);
 
@@ -73,12 +85,35 @@ std::vector<std::uint8_t> encodeTopology(const Topology &T);
 /// Decodes a topology; nullopt on malformed input.
 std::optional<Topology> decodeTopology(const std::vector<std::uint8_t> &Bytes);
 
+/// \name Distance-matrix codec.
+///
+/// The one matrix layout on every wire: a u32 species count, the
+/// length-prefixed names, then the upper triangle row-major as f64s.
+/// The service protocol embeds it in Build requests and the MP engine
+/// ships it whole in its `Init` message.
+/// @{
+
+/// Encoded size of \p M in bytes.
+std::size_t matrixWireBytes(const DistanceMatrix &M);
+
+/// Appends \p M.
+void writeMatrix(ByteWriter &Writer, const DistanceMatrix &M);
+
+/// Reads a matrix written by `writeMatrix` into \p M. Fails on more than
+/// \p MaxSpecies species, on a payload too short for the names (each at
+/// least its 4-byte length prefix) and the whole triangle — checked
+/// before anything n-sized is allocated — and on any distance that is
+/// not finite and nonnegative.
+bool readMatrix(ByteReader &Reader, DistanceMatrix &M,
+                std::uint32_t MaxSpecies);
+
 /// Encodes a distance matrix including species names.
 std::vector<std::uint8_t> encodeMatrix(const DistanceMatrix &M);
 
 /// Decodes a matrix; nullopt on malformed input.
 std::optional<DistanceMatrix>
 decodeMatrix(const std::vector<std::uint8_t> &Bytes);
+/// @}
 
 /// \name Inline codecs (append to / read from an open stream).
 ///

@@ -112,34 +112,40 @@ bool ServiceClient::connectTcp(const std::string &Host, int Port,
   return true;
 }
 
-std::optional<Response> ServiceClient::roundTrip(const Request &R,
-                                                 std::string *Error) {
+std::optional<Response>
+ServiceClient::roundTrip(const std::vector<std::uint8_t> &Payload,
+                         std::string *Error) {
   if (Fd < 0) {
     fillError(Error, "not connected");
     return std::nullopt;
   }
-  if (!writeFrame(Fd, encodeRequest(R))) {
+  if (!writeFrame(Fd, Payload)) {
     // EPIPE here means the daemon went away between requests (writes
     // use MSG_NOSIGNAL, so the hangup surfaces as errno, not SIGPIPE).
     fillErrno(Error, "send");
     return std::nullopt;
   }
-  std::vector<std::uint8_t> Payload;
-  if (!readFrame(Fd, Payload)) {
+  std::vector<std::uint8_t> Answer;
+  if (!readFrame(Fd, Answer)) {
     fillError(Error, "connection closed while awaiting response");
     return std::nullopt;
   }
   std::string DecodeError;
-  std::optional<Response> Resp = decodeResponse(Payload, &DecodeError);
+  std::optional<Response> Resp = decodeResponse(Answer, &DecodeError);
   if (!Resp)
     fillError(Error, "bad response: " + DecodeError);
   return Resp;
 }
 
+std::optional<Response> ServiceClient::roundTrip(Verb V, std::string *Error) {
+  Request R;
+  R.V = V;
+  return roundTrip(encodeRequest(R), Error);
+}
+
 std::optional<BuildResponse> ServiceClient::build(const BuildRequest &Request,
                                                   std::string *Error) {
-  std::optional<Response> Resp =
-      roundTrip(makeBuildRequest(Request), Error);
+  std::optional<Response> Resp = roundTrip(encodeBuildRequest(Request), Error);
   if (!Resp)
     return std::nullopt;
   if (!Resp->ok()) {
@@ -152,13 +158,11 @@ std::optional<BuildResponse> ServiceClient::build(const BuildRequest &Request,
     Out.Message = Resp->Message;
     return Out;
   }
-  return Resp->Build;
+  return std::move(Resp->Build);
 }
 
 std::optional<StatsSnapshot> ServiceClient::stats(std::string *Error) {
-  Request R;
-  R.V = Verb::Stats;
-  std::optional<Response> Resp = roundTrip(R, Error);
+  std::optional<Response> Resp = roundTrip(Verb::Stats, Error);
   if (!Resp)
     return std::nullopt;
   if (!Resp->ok()) {
@@ -169,9 +173,7 @@ std::optional<StatsSnapshot> ServiceClient::stats(std::string *Error) {
 }
 
 std::optional<std::string> ServiceClient::statsJson(std::string *Error) {
-  Request R;
-  R.V = Verb::StatsJson;
-  std::optional<Response> Resp = roundTrip(R, Error);
+  std::optional<Response> Resp = roundTrip(Verb::StatsJson, Error);
   if (!Resp)
     return std::nullopt;
   if (!Resp->ok()) {
@@ -182,15 +184,11 @@ std::optional<std::string> ServiceClient::statsJson(std::string *Error) {
 }
 
 bool ServiceClient::ping(std::string *Error) {
-  Request R;
-  R.V = Verb::Ping;
-  std::optional<Response> Resp = roundTrip(R, Error);
+  std::optional<Response> Resp = roundTrip(Verb::Ping, Error);
   return Resp && Resp->ok();
 }
 
 bool ServiceClient::shutdownServer(std::string *Error) {
-  Request R;
-  R.V = Verb::Shutdown;
-  std::optional<Response> Resp = roundTrip(R, Error);
+  std::optional<Response> Resp = roundTrip(Verb::Shutdown, Error);
   return Resp && Resp->ok();
 }

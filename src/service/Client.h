@@ -65,7 +65,11 @@ public:
   bool shutdownServer(std::string *Error = nullptr);
 
 private:
-  std::optional<Response> roundTrip(const Request &R, std::string *Error);
+  /// Sends one encoded request frame and decodes the answering frame.
+  std::optional<Response> roundTrip(const std::vector<std::uint8_t> &Payload,
+                                    std::string *Error);
+  /// Round trip for the body-less verbs.
+  std::optional<Response> roundTrip(Verb V, std::string *Error);
 
   int Fd = -1;
 };

@@ -4,6 +4,8 @@
 
 #include "mp/Serialize.h"
 
+#include <cassert>
+
 using namespace mutk;
 
 const char *mutk::serviceErrorName(ServiceError Error) {
@@ -88,36 +90,21 @@ std::optional<Response> failResp(std::string *Error, const char *Message) {
   return std::nullopt;
 }
 
-/// Matrix fields: i32 size, names, then the upper triangle row-major.
-void writeMatrix(ByteWriter &W, const DistanceMatrix &M) {
-  W.writeI32(M.size());
-  for (int I = 0; I < M.size(); ++I)
-    W.writeString(M.name(I));
-  for (int I = 0; I < M.size(); ++I)
-    for (int J = I + 1; J < M.size(); ++J)
-      W.writeF64(M.at(I, J));
-}
+/// Request header: verb u8, protocol version u32.
+constexpr std::size_t RequestHeaderBytes = 5;
 
-bool readMatrix(ByteReader &R, DistanceMatrix &M) {
-  std::int32_t N = 0;
-  if (!R.readI32(N) || N < 0 || N > MaxProtocolSpecies)
-    return false;
-  DistanceMatrix Out(N);
-  for (int I = 0; I < N; ++I) {
-    std::string Name;
-    if (!R.readString(Name))
-      return false;
-    Out.setName(I, std::move(Name));
-  }
-  for (int I = 0; I < N; ++I)
-    for (int J = I + 1; J < N; ++J) {
-      double Value = 0.0;
-      if (!R.readF64(Value) || !(Value >= 0.0)) // also rejects NaN
-        return false;
-      Out.set(I, J, Value);
-    }
-  M = std::move(Out);
-  return true;
+/// Build-request bytes besides the matrix (or generator spec) and the
+/// tenant's characters: generator u8; mode, 3-3, cap i32, polish,
+/// budget u64, deadline u32, cache, incremental and priority; the
+/// tenant's u32 length.
+constexpr std::size_t BuildFixedBytes = 1 + 26;
+
+/// Generator spec: species i32, seed u64.
+constexpr std::size_t GeneratorSpecBytes = 12;
+
+void writeRequestHeader(ByteWriter &W, Verb V) {
+  W.writeU8(static_cast<std::uint8_t>(V));
+  W.writeU32(ServiceProtocolVersion);
 }
 
 void writeBuildRequest(ByteWriter &W, const BuildRequest &B) {
@@ -148,7 +135,8 @@ bool readBuildRequest(ByteReader &R, BuildRequest &B) {
     return false;
   B.Generator = static_cast<GeneratorKind>(Generator);
   if (B.Generator == GeneratorKind::None) {
-    if (!readMatrix(R, B.Matrix))
+    if (!readMatrix(R, B.Matrix,
+                    static_cast<std::uint32_t>(MaxProtocolSpecies)))
       return false;
   } else if (!R.readI32(B.GenSpecies) || !R.readU64(B.GenSeed)) {
     return false;
@@ -289,11 +277,23 @@ bool readStats(ByteReader &R, StatsSnapshot &S) {
 } // namespace
 
 std::vector<std::uint8_t> mutk::encodeRequest(const Request &R) {
-  ByteWriter W;
-  W.writeU8(static_cast<std::uint8_t>(R.V));
-  W.writeU32(ServiceProtocolVersion);
   if (R.V == Verb::Build)
-    writeBuildRequest(W, R.Build);
+    return encodeBuildRequest(R.Build);
+  ByteWriter W;
+  writeRequestHeader(W, R.V);
+  return W.take();
+}
+
+std::vector<std::uint8_t> mutk::encodeBuildRequest(const BuildRequest &B) {
+  const std::size_t Size =
+      RequestHeaderBytes + BuildFixedBytes + B.Tenant.size() +
+      (B.Generator == GeneratorKind::None ? matrixWireBytes(B.Matrix)
+                                          : GeneratorSpecBytes);
+  ByteWriter W;
+  W.reserve(Size);
+  writeRequestHeader(W, Verb::Build);
+  writeBuildRequest(W, B);
+  assert(W.bytes().size() == Size && "build request layout drifted");
   return W.take();
 }
 

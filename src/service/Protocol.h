@@ -287,6 +287,9 @@ struct Response {
 /// \name Payload codecs (the `u32` frame length is the transport's job).
 /// @{
 std::vector<std::uint8_t> encodeRequest(const Request &R);
+/// The bytes of `encodeRequest(makeBuildRequest(B))`, encoded straight
+/// from \p B without copying it into a `Request` first.
+std::vector<std::uint8_t> encodeBuildRequest(const BuildRequest &B);
 std::optional<Request> decodeRequest(const std::vector<std::uint8_t> &Bytes,
                                      std::string *Error = nullptr);
 

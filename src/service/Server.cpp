@@ -190,8 +190,9 @@ void SocketServer::serveConnection(int Fd) {
           .kv("error", DecodeError)
           .kv("bytes", Payload.size());
     }
+    const bool Shutdown = Req && Req->V == Verb::Shutdown;
     Response Resp =
-        Req ? Service.handle(*Req)
+        Req ? Service.handle(std::move(*Req))
             : makeErrorResponse(Verb::Ping, ServiceError::BadFrame,
                                 DecodeError);
     if (!writeFrame(Fd, encodeResponse(Resp))) {
@@ -207,7 +208,7 @@ void SocketServer::serveConnection(int Fd) {
             .kv("error", std::strerror(errno));
       break;
     }
-    if (Req && Req->V == Verb::Shutdown) {
+    if (Shutdown) {
       obs::log(obs::LogLevel::Info, "server", "shutdown requested")
           .kv("fd", Fd);
       requestShutdown();

@@ -364,8 +364,7 @@ std::future<BuildResponse> TreeService::submitAsync(BuildRequest Request) {
       BuildRequest Norm = J.Request;
       Norm.Priority = RequestPriority::Normal;
       Norm.Tenant.clear();
-      std::vector<std::uint8_t> Identity =
-          encodeRequest(makeBuildRequest(Norm));
+      std::vector<std::uint8_t> Identity = encodeBuildRequest(Norm);
       std::uint64_t Key = coalesceKeyOf(Identity);
       bool Tracked = true;
       qos::Coalescer::Attach A = Coalesce.attach(Key, Identity, &Tracked);
@@ -388,8 +387,7 @@ std::future<BuildResponse> TreeService::submitAsync(BuildRequest Request) {
     // worker may already be solving it, and `Completed(id)` must never
     // reach the journal ahead of `Submitted(id)`.
     J.JournalId = NextJobId.fetch_add(1, std::memory_order_relaxed);
-    std::vector<std::uint8_t> Encoded =
-        encodeRequest(makeBuildRequest(J.Request));
+    std::vector<std::uint8_t> Encoded = encodeBuildRequest(J.Request);
     MutexLock Lock(PersistMu);
     Journal->submitted(J.JournalId, Encoded);
   }
@@ -424,12 +422,12 @@ BuildResponse TreeService::submit(BuildRequest Request) {
   return submitAsync(std::move(Request)).get();
 }
 
-Response TreeService::handle(const Request &R) {
+Response TreeService::handle(Request R) {
   Response Out;
   Out.V = R.V;
   switch (R.V) {
   case Verb::Build:
-    Out.Build = submit(R.Build);
+    Out.Build = submit(std::move(R.Build));
     Out.Error = Out.Build.Error;
     Out.Message = Out.Build.Message;
     break;
@@ -555,7 +553,7 @@ std::optional<TreeService::LentJob> TreeService::lendQueuedJob() {
   if (!J)
     return std::nullopt;
   LentJob Out;
-  Out.EncodedRequest = encodeRequest(makeBuildRequest(J->Request));
+  Out.EncodedRequest = encodeBuildRequest(J->Request);
   MutexLock Lock(LentMu);
   Out.Token = NextLentToken++;
   Lent.emplace(Out.Token, std::move(*J));
@@ -737,11 +735,11 @@ BuildResponse TreeService::process(const Job &J) {
                 "deadline elapsed while the job was queued");
   }
 
-  // Materialize the matrix.
-  DistanceMatrix M;
+  // An inline matrix is used where it lies in the job; a generated one
+  // lives here.
+  DistanceMatrix Generated;
   switch (Request.Generator) {
   case GeneratorKind::None:
-    M = Request.Matrix;
     break;
   case GeneratorKind::Uniform:
   case GeneratorKind::Clustered:
@@ -753,16 +751,19 @@ BuildResponse TreeService::process(const Job &J) {
     int N = Request.GenSpecies;
     std::uint64_t Seed = Request.GenSeed;
     if (Request.Generator == GeneratorKind::Uniform)
-      M = uniformRandomMetric(N, Seed, 1.0, 100.0);
+      Generated = uniformRandomMetric(N, Seed, 1.0, 100.0);
     else if (Request.Generator == GeneratorKind::Clustered)
-      M = scaledToMax(plantedClusterMetric(N, Seed), 100.0);
+      Generated = scaledToMax(plantedClusterMetric(N, Seed), 100.0);
     else if (Request.Generator == GeneratorKind::Ultrametric)
-      M = randomUltrametricMatrix(N, Seed);
+      Generated = randomUltrametricMatrix(N, Seed);
     else
-      M = hmdnaLikeMatrix(N, Seed);
+      Generated = hmdnaLikeMatrix(N, Seed);
     break;
   }
   }
+  const DistanceMatrix &M = Request.Generator == GeneratorKind::None
+                                ? Request.Matrix
+                                : Generated;
   if (M.size() == 0)
     return fail(ServiceError::BadMatrix, "empty matrix");
   if (M.size() > Options.MaxSpecies)

@@ -187,7 +187,8 @@ public:
   /// Protocol-level dispatch used by the socket server and by loopback
   /// clients that speak encoded frames. `Shutdown` is acknowledged but
   /// acted upon by the caller (the transport decides when to stop).
-  Response handle(const Request &R);
+  /// Takes the request by value so a decoded Build moves into its job.
+  Response handle(Request R);
 
   /// Current counters (includes live queue depth and cache size).
   StatsSnapshot stats() const;

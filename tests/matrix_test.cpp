@@ -291,6 +291,18 @@ TEST(MatrixIO, RejectsNonNumericToken) {
   EXPECT_NE(Error.find("count"), std::string::npos);
 }
 
+TEST(MatrixIO, RejectsNonFiniteEntries) {
+  // strtod parses all three, and each slips past the symmetry and sign
+  // checks (inf - inf is NaN, and every comparison with NaN is false).
+  for (const char *Token : {"inf", "-inf", "nan"}) {
+    std::string Text = std::string("3\na 0 ") + Token + " 2\nb " + Token +
+                       " 0 1\nc 2 1 0\n";
+    std::string Error;
+    EXPECT_FALSE(matrixFromString(Text, &Error).has_value()) << Token;
+    EXPECT_NE(Error.find("entry (0, 1)"), std::string::npos) << Error;
+  }
+}
+
 TEST(MatrixIO, RejectsNegativeCount) {
   std::string Error;
   EXPECT_FALSE(matrixFromString("-1\n", &Error).has_value());

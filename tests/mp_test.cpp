@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <thread>
 
 using namespace mutk;
@@ -166,6 +168,33 @@ TEST(Serialize, MatrixRoundTrip) {
   ASSERT_TRUE(Back.has_value());
   EXPECT_TRUE(M.approxEquals(*Back, 0.0));
   EXPECT_EQ(Back->name(0), "dna0");
+}
+
+TEST(Serialize, MatrixRejectsNonFiniteDistances) {
+  DistanceMatrix M(3);
+  M.set(0, 1, 1.0);
+  M.set(0, 2, 2.0);
+  M.set(1, 2, 3.0);
+  std::vector<std::uint8_t> Good = encodeMatrix(M);
+  ASSERT_TRUE(decodeMatrix(Good).has_value());
+  // The triangle closes the payload; overwrite its last f64, (1, 2).
+  for (double Bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), -1.0}) {
+    std::vector<std::uint8_t> Forged = Good;
+    std::memcpy(Forged.data() + Forged.size() - 8, &Bad, 8);
+    EXPECT_FALSE(decodeMatrix(Forged).has_value()) << Bad;
+  }
+}
+
+TEST(Serialize, MatrixRejectsCountItsPayloadCannotHold) {
+  // A bare 100000-taxon header: rejected, not an 80 GB allocation.
+  std::vector<std::uint8_t> Header = {0xa0, 0x86, 0x01, 0x00};
+  EXPECT_FALSE(decodeMatrix(Header).has_value());
+  // Names present but no distances is still too short.
+  DistanceMatrix M(40);
+  std::vector<std::uint8_t> Bytes = encodeMatrix(M);
+  Bytes.resize(Bytes.size() - 8 * 40 * 39 / 2);
+  EXPECT_FALSE(decodeMatrix(Bytes).has_value());
 }
 
 TEST(MpBnb, TrivialSizes) {

@@ -21,7 +21,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 
 using namespace mutk;
 
@@ -301,6 +305,109 @@ TEST(ProtocolCodec, RequestByteFlipsNeverCrash) {
     (void)decodeRequest(Mutated);
     Mutated.resize(I);
     (void)decodeRequest(Mutated);
+  }
+}
+
+/// A matrix whose distances are arbitrary finite nonnegative bit
+/// patterns (subnormals included) and whose names vary in length down to
+/// empty, so only a bit-exact codec round-trips it.
+DistanceMatrix bitPatternMatrix(int N, Rng &R) {
+  DistanceMatrix M(N);
+  for (int I = 0; I < N; ++I) {
+    M.setName(I, std::string(static_cast<std::size_t>(I % 5),
+                             static_cast<char>('a' + I % 26)));
+    for (int J = I + 1; J < N; ++J)
+      // Sign bit and top exponent bit clear: finite, in [0, 2).
+      M.set(I, J, std::bit_cast<double>(R.next() >> 2));
+  }
+  return M;
+}
+
+std::string hexOf(const std::vector<std::uint8_t> &Bytes) {
+  std::string Out;
+  for (std::uint8_t B : Bytes) {
+    char Digits[3];
+    std::snprintf(Digits, sizeof(Digits), "%02x", B);
+    Out += Digits;
+  }
+  return Out;
+}
+
+TEST(ProtocolCodec, BuildRequestBytesArePinned) {
+  // Protocol v3 on the wire: changing these bytes is a format change
+  // that must bump ServiceProtocolVersion.
+  BuildRequest Build;
+  Build.Matrix = DistanceMatrix({"human", "chimp", "gorilla"});
+  Build.Matrix.set(0, 1, 3.0);
+  Build.Matrix.set(0, 2, 5.5);
+  Build.Matrix.set(1, 2, 0.125);
+  Build.DeadlineMillis = 250;
+  Build.Tenant = "lab";
+  const std::string Pinned =
+      "01"                           // verb Build
+      "03000000"                     // version 3
+      "00"                           // inline matrix
+      "03000000"                     // 3 species
+      "05000000" "68756d616e"        // "human"
+      "05000000" "6368696d70"        // "chimp"
+      "07000000" "676f72696c6c61"    // "gorilla"
+      "0000000000000840"             // (0, 1) = 3.0
+      "0000000000001640"             // (0, 2) = 5.5
+      "000000000000c03f"             // (1, 2) = 0.125
+      "00"                           // mode Maximum
+      "01"                           // 3-3 third species
+      "10000000"                     // exact cap 16
+      "00"                           // no polish
+      "0000000000000000"             // no node budget
+      "fa000000"                     // deadline 250 ms
+      "01"                           // use cache
+      "00"                           // not incremental
+      "01"                           // priority normal
+      "03000000" "6c6162";           // tenant "lab"
+  EXPECT_EQ(hexOf(encodeBuildRequest(Build)), Pinned);
+  EXPECT_EQ(encodeRequest(makeBuildRequest(Build)), encodeBuildRequest(Build));
+}
+
+TEST(ProtocolCodec, MatrixRoundTripIsBitExact) {
+  // Sizes around the decoder's 8x8 mirror tiles: empty, single, one
+  // partial tile, exact tiles, and a partial last tile on each side.
+  Rng R(99);
+  for (int N : {0, 1, 2, 7, 8, 9, 31, 33, 512}) {
+    DistanceMatrix M = bitPatternMatrix(N, R);
+    BuildRequest Build;
+    Build.Matrix = M;
+    std::optional<Request> Back = decodeRequest(encodeBuildRequest(Build));
+    ASSERT_TRUE(Back.has_value()) << "n=" << N;
+    std::optional<DistanceMatrix> Standalone = decodeMatrix(encodeMatrix(M));
+    ASSERT_TRUE(Standalone.has_value()) << "n=" << N;
+    for (const DistanceMatrix *D : {&Back->Build.Matrix, &*Standalone}) {
+      ASSERT_EQ(D->size(), N);
+      EXPECT_EQ(D->names(), M.names()) << "n=" << N;
+      // Whole rows: the upper triangle as sent, the mirrored lower one
+      // and the zero diagonal, all bit for bit.
+      for (int I = 0; I < N; ++I)
+        ASSERT_EQ(std::memcmp(D->row(I), M.row(I),
+                              static_cast<std::size_t>(N) * sizeof(double)),
+                  0)
+            << "n=" << N << " row " << I;
+    }
+  }
+}
+
+TEST(ProtocolCodec, BuildRequestEmbedsTheMatrixCodec) {
+  Rng R(5);
+  for (int N : {0, 3, 33}) {
+    DistanceMatrix M = bitPatternMatrix(N, R);
+    BuildRequest Build;
+    Build.Matrix = M;
+    std::vector<std::uint8_t> Request = encodeBuildRequest(Build);
+    std::vector<std::uint8_t> Block = encodeMatrix(M);
+    // Verb u8, version u32 and generator u8 precede the matrix block.
+    const std::ptrdiff_t Offset = 1 + 4 + 1;
+    ASSERT_GE(Request.size(), Offset + Block.size());
+    EXPECT_TRUE(
+        std::equal(Block.begin(), Block.end(), Request.begin() + Offset))
+        << "n=" << N;
   }
 }
 

@@ -390,6 +390,22 @@ TEST(Protocol, RejectsOversizedMatrixHeader) {
   EXPECT_FALSE(decodeRequest(Bytes).has_value());
 }
 
+TEST(Protocol, RejectsMatrixHeaderWithoutBody) {
+  // A count within the cap but with no names or distances behind it:
+  // rejected from the payload size, before the n^2 allocation.
+  BuildRequest R;
+  R.Matrix = DistanceMatrix(2);
+  std::vector<std::uint8_t> Bytes = encodeRequest(makeBuildRequest(R));
+  std::size_t CountOffset = 1 + 4 + 1;
+  Bytes.resize(CountOffset);
+  for (int I = 0; I < 4; ++I)
+    Bytes.push_back(
+        static_cast<std::uint8_t>(MaxProtocolSpecies >> (8 * I)));
+  std::string Error;
+  EXPECT_FALSE(decodeRequest(Bytes, &Error).has_value());
+  EXPECT_EQ(Error, "malformed build request");
+}
+
 TEST(Protocol, RejectsNegativeAndNanDistances) {
   // DistanceMatrix itself refuses such values (asserts in debug), so
   // forge them on the wire: overwrite the single f64 distance of a
@@ -418,6 +434,12 @@ TEST(Protocol, RejectsNegativeAndNanDistances) {
   EXPECT_FALSE(decodeRequest(withDistance(-1.0)).has_value());
   EXPECT_FALSE(
       decodeRequest(withDistance(std::numeric_limits<double>::quiet_NaN()))
+          .has_value());
+  EXPECT_FALSE(
+      decodeRequest(withDistance(std::numeric_limits<double>::infinity()))
+          .has_value());
+  EXPECT_FALSE(
+      decodeRequest(withDistance(-std::numeric_limits<double>::infinity()))
           .has_value());
 }
 
@@ -826,6 +848,53 @@ TEST(SocketServer, AnswersGarbageWithBadFrame) {
   std::optional<Response> Resp = decodeResponse(Payload);
   ASSERT_TRUE(Resp.has_value());
   EXPECT_EQ(Resp->Error, ServiceError::BadFrame);
+  ::close(Fd);
+
+  Server.stop();
+  Service.stop();
+}
+
+TEST(SocketServer, InfiniteDistanceIsABadFrameNotACrash) {
+  TreeService Service;
+  SocketServer Server(Service);
+  std::string Path = testing::TempDir() + "mutk_inf_test.sock";
+  std::string Error;
+  ASSERT_TRUE(Server.listenUnix(Path, &Error)) << Error;
+  Server.start();
+
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(Fd, 0);
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  std::snprintf(Addr.sun_path, sizeof(Addr.sun_path), "%s", Path.c_str());
+  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)),
+            0);
+  // A 6-taxon Build request whose first distance, (0, 1), is +inf. It
+  // sits right after the names.
+  BuildRequest Build;
+  Build.Matrix = uniformRandomMetric(6, 3);
+  std::vector<std::uint8_t> Frame = encodeRequest(makeBuildRequest(Build));
+  std::size_t Offset = 1 + 4 + 1 + 4;
+  for (const std::string &Name : Build.Matrix.names())
+    Offset += 4 + Name.size();
+  const double Inf = std::numeric_limits<double>::infinity();
+  std::memcpy(Frame.data() + Offset, &Inf, sizeof(Inf));
+  ASSERT_TRUE(writeFrame(Fd, Frame));
+  std::vector<std::uint8_t> Payload;
+  ASSERT_TRUE(readFrame(Fd, Payload));
+  std::optional<Response> Resp = decodeResponse(Payload);
+  ASSERT_TRUE(Resp.has_value());
+  EXPECT_EQ(Resp->Error, ServiceError::BadFrame);
+
+  // The connection survives: a Ping on it is answered.
+  Request Ping;
+  Ping.V = Verb::Ping;
+  ASSERT_TRUE(writeFrame(Fd, encodeRequest(Ping)));
+  ASSERT_TRUE(readFrame(Fd, Payload));
+  Resp = decodeResponse(Payload);
+  ASSERT_TRUE(Resp.has_value());
+  EXPECT_EQ(Resp->V, Verb::Ping);
+  EXPECT_TRUE(Resp->ok());
   ::close(Fd);
 
   Server.stop();
