@@ -12,10 +12,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "bnb/Checkpoint.h"
+#include "bnb/Engine.h"
 #include "bnb/SequentialBnb.h"
 #include "dist/Cluster.h"
 #include "matrix/Fingerprint.h"
 #include "matrix/Generators.h"
+#include "mp/Communicator.h"
+#include "mp/MpBnb.h"
 #include "mp/Serialize.h"
 #include "service/Protocol.h"
 
@@ -26,6 +29,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <thread>
 
 using namespace mutk;
 
@@ -366,6 +370,95 @@ TEST(ProtocolCodec, BuildRequestBytesArePinned) {
       "03000000" "6c6162";           // tenant "lab"
   EXPECT_EQ(hexOf(encodeBuildRequest(Build)), Pinned);
   EXPECT_EQ(encodeRequest(makeBuildRequest(Build)), encodeBuildRequest(Build));
+}
+
+TEST(CheckpointCodec, CheckpointBytesArePinned) {
+  // A checkpoint written by an older build must still resume: changing
+  // these bytes strands every state file on disk.
+  DistanceMatrix M({"a", "b"});
+  M.set(0, 1, 3.0);
+  SearchCheckpoint Ck;
+  Ck.MatrixKey = 0x0123456789abcdefull;
+  Ck.UpperBound = 14.5;
+  Ck.Stats.Branched = 7;
+  Ck.Stats.Generated = 40;
+  Ck.Stats.PrunedByBound = 30;
+  Ck.Stats.PrunedByThreeThree = 2;
+  Ck.Stats.BoundEvals = 40; // process-local: not encoded
+  Ck.Stats.UbUpdates = 1;
+  Ck.Stats.Complete = false;
+  int A = Ck.Incumbent.addLeaf(0);
+  int B = Ck.Incumbent.addLeaf(1);
+  Ck.Incumbent.setRoot(Ck.Incumbent.addInternal(A, B, 1.5));
+  Ck.Incumbent.setNames({"a", "b"});
+  Ck.Frontier.push_back(Topology::initialPair(M));
+  const std::string Pinned =
+      "efcdab8967452301"          // matrix key
+      "0000000000002d40"          // upper bound 14.5
+      "0700000000000000"          // branched 7
+      "2800000000000000"          // generated 40
+      "1e00000000000000"          // pruned by bound 30
+      "0200000000000000"          // pruned by 3-3 2
+      "0100000000000000"          // UB updates 1 (bound evals not encoded)
+      "00"                        // not complete
+      "01" "01" "000000000000f83f" // incumbent: root, internal, height 1.5
+      "00" "00000000"             //   leaf, species 0
+      "00" "01000000"             //   leaf, species 1
+      "02000000"                  //   2 names
+      "01000000" "61"             //   "a"
+      "01000000" "62"             //   "b"
+      "01000000"                  // 1 frontier node
+      "03000000" "02000000"       //   3 nodes, root 2
+      "02000000" "ffffffff" "ffffffff" "00000000" // node 0: leaf 0 under 2
+      "0000000000000000" "0100000000000000"       //   height 0, mask {0}
+      "02000000" "ffffffff" "ffffffff" "01000000" // node 1: leaf 1 under 2
+      "0000000000000000" "0200000000000000"       //   height 0, mask {1}
+      "ffffffff" "00000000" "01000000" "ffffffff" // node 2: root over 0, 1
+      "000000000000f83f" "0300000000000000";      //   height 1.5, mask {0,1}
+  EXPECT_EQ(hexOf(encodeSearchCheckpoint(Ck)), Pinned);
+}
+
+TEST(MpCodec, StatsBytesArePinned) {
+  // One slave solves a matrix from its optimum as the starting bound:
+  // no complete tree improves on it, so its counters do not depend on
+  // the order it explores children in.
+  DistanceMatrix M = uniformRandomMetric(8, 3);
+  BnbOptions Options;
+  Options.ThreeThree = ThreeThreeMode::ThirdSpecies;
+  Options.PublishMetrics = false;
+  const double Optimum = solveMutSequential(M, Options).Cost;
+  BnbEngine Engine(M, Options);
+  Communicator World(2);
+  Communicator::Endpoint Master = World.endpoint(0);
+  ByteWriter Init;
+  Init.writeF64(Optimum);
+  writeMatrix(Init, Engine.relabeledMatrix());
+  Master.send(1, MpTagInit, Init.take());
+  Master.send(1, MpTagWork, encodeTopology(Engine.rootTopology()));
+  std::thread Slave([&World, &Options] {
+    Communicator::Endpoint Self = World.endpoint(1);
+    runMpSlave(Self, Options);
+  });
+  Message Request = Master.recv();
+  EXPECT_EQ(Request.Tag, MpTagWorkRequest);
+  Master.send(1, MpTagTerminate);
+  Message Stats = Master.recv();
+  Slave.join();
+  ASSERT_EQ(Stats.Tag, MpTagStats);
+  const std::string Pinned =
+      "1400000000000000"  // branched 20
+      "d000000000000000"  // generated 208
+      "bb00000000000000"  // pruned by bound 187
+      "0200000000000000"  // pruned by 3-3 2
+      "0000000000000000"  // UB updates 0
+      "1400000000000000"  // worker: branched 20
+      "0100000000000000"  //   pulled from the global pool 1
+      "0000000000000000"  //   donated to the global pool 0
+      "0000000000000000"  //   UB updates 0
+      "0000000000000000"  //   stolen from peers 0
+      "0000000000000000"  //   donated to peers 0
+      "0000000000000000"; //   peer UB broadcasts 0
+  EXPECT_EQ(hexOf(Stats.Payload), Pinned);
 }
 
 TEST(ProtocolCodec, MatrixRoundTripIsBitExact) {
