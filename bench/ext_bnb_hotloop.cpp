@@ -1,7 +1,8 @@
 //===- bench/ext_bnb_hotloop.cpp - B&B hot-loop identity & throughput -----===//
 //
 // Extension study: the branch-and-bound hot loop after the 3-3 pruning
-// fix. Every engine (sequential DFS, best-first, threaded) is run in
+// fix. Every engine (sequential DFS, best-first, threaded, message
+// passing over 4 slave ranks, simulated 16-node cluster) is run in
 // {None, ThirdSpecies} mode on tie-free structured workloads — the
 // regime where `ThirdSpecies` is proven cost-preserving
 // (tests/bnb_test.cpp) — and the run *aborts* unless
@@ -31,8 +32,10 @@
 
 #include "bnb/BestFirstBnb.h"
 #include "bnb/SequentialBnb.h"
+#include "mp/MpBnb.h"
 #include "obs/Metrics.h"
 #include "parallel/ThreadedBnb.h"
+#include "sim/ClusterSim.h"
 
 #include <benchmark/benchmark.h>
 
@@ -47,6 +50,8 @@ using namespace mutk;
 namespace {
 
 constexpr int ThreadedWorkers = 4;
+constexpr int MpSlaveRanks = 4;
+constexpr int ClusterNodes = 16;
 
 struct WorkloadSpec {
   const char *Name;
@@ -67,8 +72,9 @@ struct ResultRow {
 };
 
 /// One timed solve; returns the stats of the last repetition (identical
-/// across repetitions — the solvers are deterministic) and the median
-/// wall clock.
+/// across repetitions for every engine but the threaded and
+/// message-passing ones, whose counters follow the schedule) and the
+/// median wall clock.
 struct EngineOutcome {
   double Cost = 0.0;
   BnbStats Stats;
@@ -89,8 +95,18 @@ EngineOutcome runEngine(const char *Engine, const DistanceMatrix &M,
       BestFirstResult R = solveMutBestFirst(M, Options);
       Out.Cost = R.Cost;
       Out.Stats = R.Stats;
-    } else {
+    } else if (std::string(Engine) == "threaded") {
       ParallelMutResult R = solveMutThreaded(M, ThreadedWorkers, Options);
+      Out.Cost = R.Cost;
+      Out.Stats = R.Stats;
+    } else if (std::string(Engine) == "mp") {
+      MpMutResult R = solveMutMessagePassing(M, MpSlaveRanks, Options);
+      Out.Cost = R.Cost;
+      Out.Stats = R.Stats;
+    } else {
+      ClusterSpec Spec;
+      Spec.NumNodes = ClusterNodes;
+      ClusterSimResult R = simulateClusterBnb(M, Spec, Options);
       Out.Cost = R.Cost;
       Out.Stats = R.Stats;
     }
@@ -152,7 +168,8 @@ void printTable() {
     Workloads.push_back({"harddna", bench::hardDnaWorkload(20, 7)});
   }
   const int Reps = Smoke ? 1 : 3;
-  const char *Engines[] = {"sequential", "bestfirst", "threaded"};
+  const char *Engines[] = {"sequential", "bestfirst", "threaded", "mp",
+                           "cluster"};
   const char *Modes[] = {"none", "third"};
 
   std::printf("%-10s %4s %-10s %-6s %10s %10s %12s %8s %8s\n", "workload",

@@ -4,7 +4,8 @@
 /// The sequential branch-and-bound of Wu-Chao-Tang 1999 ("Algorithm BBU"):
 /// DFS over partial topologies, pruning by `LB(v) >= UB`, with the UPGMM
 /// tree as the initial feasible solution. This is the single-processor
-/// baseline of both papers' experiments.
+/// baseline of both papers' experiments. Its loop also runs the
+/// best-first variant (`bnb/BestFirstBnb.h`) over a lower-bound heap.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -2,7 +2,7 @@
 
 #include "mp/MpBnb.h"
 
-#include "bnb/Engine.h"
+#include "bnb/Search.h"
 #include "mp/Communicator.h"
 #include "mp/Serialize.h"
 
@@ -50,19 +50,14 @@ namespace {
 std::vector<std::uint8_t> encodeSolution(double Cost, const Topology &T) {
   ByteWriter Writer;
   Writer.writeF64(Cost);
-  for (std::uint8_t Byte : encodeTopology(T))
-    Writer.writeU8(Byte);
+  writeTopology(Writer, T);
   return Writer.take();
 }
 
 std::vector<std::uint8_t> encodeStats(const BnbStats &Stats,
                                       const WorkerStats &Worker) {
   ByteWriter Writer;
-  Writer.writeU64(Stats.Branched);
-  Writer.writeU64(Stats.Generated);
-  Writer.writeU64(Stats.PrunedByBound);
-  Writer.writeU64(Stats.PrunedByThreeThree);
-  Writer.writeU64(Stats.UbUpdates);
+  writeBnbCounters(Writer, Stats);
   Writer.writeU64(Worker.Branched);
   Writer.writeU64(Worker.PulledFromGlobal);
   Writer.writeU64(Worker.DonatedToGlobal);
@@ -73,12 +68,47 @@ std::vector<std::uint8_t> encodeStats(const BnbStats &Stats,
   return Writer.take();
 }
 
+bool decodeStats(const std::vector<std::uint8_t> &Payload, BnbStats &Stats,
+                 WorkerStats &Worker) {
+  ByteReader Reader(Payload);
+  return readBnbCounters(Reader, Stats) && Reader.readU64(Worker.Branched) &&
+         Reader.readU64(Worker.PulledFromGlobal) &&
+         Reader.readU64(Worker.DonatedToGlobal) &&
+         Reader.readU64(Worker.UbUpdates) &&
+         Reader.readU64(Worker.StolenFromPeers) &&
+         Reader.readU64(Worker.DonatedToPeers) &&
+         Reader.readU64(Worker.PeerUbBroadcasts) && Reader.atEnd();
+}
+
+/// Decodes a UbUpdate payload.
+bool decodeBound(const std::vector<std::uint8_t> &Payload, double &Ub) {
+  ByteReader Reader(Payload);
+  return Reader.readF64(Ub) && Reader.atEnd();
+}
+
+/// Decodes an Init payload: the starting bound and a relabeled matrix the
+/// engine can take (2 to `MaxBnbSpecies` species).
+bool decodeInit(const std::vector<std::uint8_t> &Payload, double &Ub,
+                DistanceMatrix &M) {
+  ByteReader Reader(Payload);
+  return Reader.readF64(Ub) &&
+         readMatrix(Reader, M, static_cast<std::uint32_t>(MaxBnbSpecies)) &&
+         M.size() >= 2 && Reader.atEnd();
+}
+
 } // namespace
 
 WorkerStats mutk::runMpSlave(MpEndpoint &Self, const BnbOptions &Options,
                              const MpProtocolOptions &Proto) {
   BnbStats Stats;
   WorkerStats Worker;
+  // Every way out of a session reports the counters: a Terminate, a
+  // broken link (which the endpoint turns into a Terminate) and a
+  // malformed payload alike.
+  auto finish = [&]() -> WorkerStats {
+    Self.send(0, MpTagStats, encodeStats(Stats, Worker));
+    return Worker;
+  };
 
   // Wait for Init: the relabeled matrix and the starting upper bound.
   // A Terminate before Init means the master solved a trivial instance
@@ -97,10 +127,6 @@ WorkerStats mutk::runMpSlave(MpEndpoint &Self, const BnbOptions &Options,
   double PreInitUb = std::numeric_limits<double>::infinity();
   for (;;) {
     Message Init = Self.recv();
-    if (Init.Tag == MpTagTerminate) {
-      Self.send(0, MpTagStats, encodeStats(Stats, Worker));
-      return Worker;
-    }
     if (Init.Tag == MpTagStealRequest) {
       ByteWriter Reply;
       Reply.writeU8(0);
@@ -108,27 +134,19 @@ WorkerStats mutk::runMpSlave(MpEndpoint &Self, const BnbOptions &Options,
       continue;
     }
     if (Init.Tag == MpTagUbUpdate) {
-      ByteReader Reader(Init.Payload);
       double Ub;
-      if (Reader.readF64(Ub))
-        PreInitUb = std::min(PreInitUb, Ub);
+      if (!decodeBound(Init.Payload, Ub))
+        return finish();
+      PreInitUb = std::min(PreInitUb, Ub);
       continue;
     }
     if (Init.Tag == MpTagNeedWork) {
       PreInitNeedWork = true;
       continue;
     }
-    assert(Init.Tag == MpTagInit && "first message must be Init");
-    ByteReader Reader(Init.Payload);
     double Ub;
-    bool OkUb = Reader.readF64(Ub);
-    assert(OkUb && "malformed Init payload");
-    (void)OkUb;
-    std::vector<std::uint8_t> MatrixBytes(Init.Payload.begin() + 8,
-                                          Init.Payload.end());
-    auto Decoded = decodeMatrix(MatrixBytes);
-    assert(Decoded && "malformed Init matrix");
-    Relabeled = std::move(*Decoded);
+    if (Init.Tag != MpTagInit || !decodeInit(Init.Payload, Ub, Relabeled))
+      return finish();
     KnownUb = std::min(Ub, PreInitUb);
     break;
   }
@@ -142,6 +160,7 @@ WorkerStats mutk::runMpSlave(MpEndpoint &Self, const BnbOptions &Options,
   const int NumWorkers = Self.size() - 1;
 
   std::deque<Topology> Local; // back = best
+  TopologyArena Arena(Engine.numSpecies());
   std::vector<BranchedChild> Branches;
   bool DonateRequested = PreInitNeedWork;
   // Cumulative count of work items received (master Work messages and
@@ -180,24 +199,25 @@ WorkerStats mutk::runMpSlave(MpEndpoint &Self, const BnbOptions &Options,
     }
   };
 
-  auto handle = [&](const Message &Msg) -> bool /*terminate?*/ {
+  auto handle = [&](const Message &Msg) -> bool /*session over?*/ {
     switch (Msg.Tag) {
     case MpTagUbUpdate: {
       // From the master or (peer broadcast mode) directly from a peer;
       // either way the local bound cache keeps the min of everything
       // heard so far.
-      ByteReader Reader(Msg.Payload);
       double Ub;
-      if (Reader.readF64(Ub))
-        KnownUb = std::min(KnownUb, Ub);
+      if (!decodeBound(Msg.Payload, Ub))
+        return true;
+      KnownUb = std::min(KnownUb, Ub);
       return false;
     }
     case MpTagNeedWork:
       DonateRequested = true;
       return false;
     case MpTagWork: {
-      auto T = decodeTopology(Msg.Payload);
-      assert(T && "malformed Work payload");
+      std::optional<Topology> T = decodeTopology(Msg.Payload);
+      if (!T)
+        return true;
       Local.push_back(std::move(*T));
       ++Worker.PulledFromGlobal;
       ++WorkReceived;
@@ -222,8 +242,7 @@ WorkerStats mutk::runMpSlave(MpEndpoint &Self, const BnbOptions &Options,
         Grant.writeU32(static_cast<std::uint32_t>(Msg.Source));
         Self.send(0, MpTagStealGrant, Grant.take());
         Reply.writeU8(1);
-        for (std::uint8_t Byte : encodeTopology(Local.front()))
-          Reply.writeU8(Byte);
+        writeTopology(Reply, Local.front());
         Local.pop_front();
         ++Worker.DonatedToPeers;
       } else {
@@ -233,18 +252,16 @@ WorkerStats mutk::runMpSlave(MpEndpoint &Self, const BnbOptions &Options,
       return false;
     }
     case MpTagStealReply: {
-      assert(StealInFlight && "unsolicited StealReply");
+      if (!StealInFlight)
+        return true; // nobody asked
       StealInFlight = false;
       ByteReader Reader(Msg.Payload);
       std::uint8_t Granted = 0;
-      bool Ok = Reader.readU8(Granted);
-      assert(Ok && "malformed StealReply payload");
-      (void)Ok;
-      if (Granted) {
-        std::vector<std::uint8_t> TopoBytes(Msg.Payload.begin() + 1,
-                                            Msg.Payload.end());
-        auto T = decodeTopology(TopoBytes);
-        assert(T && "malformed StealReply topology");
+      std::optional<Topology> T;
+      if (!Reader.readU8(Granted) || Granted > 1 ||
+          (Granted && !readTopology(Reader, T)) || !Reader.atEnd())
+        return true;
+      if (T) {
         Local.push_back(std::move(*T));
         ++Worker.StolenFromPeers;
         ++WorkReceived;
@@ -252,17 +269,10 @@ WorkerStats mutk::runMpSlave(MpEndpoint &Self, const BnbOptions &Options,
       }
       return false;
     }
-    case MpTagTerminate:
-      return true;
     default:
-      assert(false && "unexpected message tag at slave");
-      return false;
+      // Terminate, or a tag no master sends a slave.
+      return true;
     }
-  };
-
-  auto finish = [&]() -> WorkerStats {
-    Self.send(0, MpTagStats, encodeStats(Stats, Worker));
-    return Worker;
   };
 
   for (;;) {
@@ -300,8 +310,7 @@ WorkerStats mutk::runMpSlave(MpEndpoint &Self, const BnbOptions &Options,
       // Block until work or termination arrives.
       for (;;) {
         Message Msg = Self.recv();
-        bool Terminate = handle(Msg);
-        if (Terminate)
+        if (handle(Msg))
           return finish();
         if (Msg.Tag == MpTagWork)
           break;
@@ -311,29 +320,22 @@ WorkerStats mutk::runMpSlave(MpEndpoint &Self, const BnbOptions &Options,
 
     Topology Current = std::move(Local.back());
     Local.pop_back();
-
-    if (Engine.lowerBound(Current) >= KnownUb - Eps) {
-      ++Stats.PrunedByBound;
-      continue;
-    }
-
-    ++Stats.Branched;
-    ++Worker.Branched;
-    Engine.branch(Current, KnownUb, Stats, Branches);
-    for (BranchedChild &BC : Branches) {
-      Topology &Child = BC.Node;
-      if (Engine.isComplete(Child)) {
-        double Cost = Child.cost();
-        if (Cost < KnownUb - Eps) {
-          KnownUb = Cost;
-          ++Worker.UbUpdates;
-          ++Stats.UbUpdates;
-          announceIncumbent(Cost, Child);
-        }
-        continue;
-      }
-      Local.push_back(std::move(Child)); // ascending order: back = best
-    }
+    if (searchStep(
+            Engine, std::move(Current), KnownUb, Stats, Arena, Branches,
+            ChildOrder::WorstFirst,
+            [&](const Topology &Child) {
+              const double Cost = Child.cost();
+              if (Cost < KnownUb - Eps) {
+                KnownUb = Cost;
+                ++Worker.UbUpdates;
+                ++Stats.UbUpdates;
+                announceIncumbent(Cost, Child);
+              }
+            },
+            [&](BranchedChild &&Child) {
+              Local.push_back(std::move(Child.Node));
+            }))
+      ++Worker.Branched;
   }
 }
 
@@ -349,106 +351,54 @@ MpMutResult mutk::runMpMaster(MpEndpoint &Self, const DistanceMatrix &M,
 
   MpMutResult Result;
   Result.Workers.resize(static_cast<std::size_t>(NumWorkers));
+  BnbStats &Stats = Result.Stats;
 
-  // Collects the final Stats message from every worker; every exit path
-  // goes through here so slaves always unblock.
-  auto collectStats = [&](BnbStats &Stats) {
-    int StatsCollected = 0;
-    while (StatsCollected < NumWorkers) {
-      Message Msg = Self.recv();
-      if (Msg.Tag != MpTagStats)
-        continue; // late Solution/Donation/StealGrant: nothing to do
-      ByteReader Reader(Msg.Payload);
-      BnbStats S;
-      WorkerStats W;
-      bool Ok = Reader.readU64(S.Branched) && Reader.readU64(S.Generated) &&
-                Reader.readU64(S.PrunedByBound) &&
-                Reader.readU64(S.PrunedByThreeThree) &&
-                Reader.readU64(S.UbUpdates) && Reader.readU64(W.Branched) &&
-                Reader.readU64(W.PulledFromGlobal) &&
-                Reader.readU64(W.DonatedToGlobal) &&
-                Reader.readU64(W.UbUpdates) &&
-                Reader.readU64(W.StolenFromPeers) &&
-                Reader.readU64(W.DonatedToPeers) &&
-                Reader.readU64(W.PeerUbBroadcasts);
-      assert(Ok && "malformed Stats payload");
-      (void)Ok;
-      Stats.Branched += S.Branched;
-      Stats.Generated += S.Generated;
-      Stats.PrunedByBound += S.PrunedByBound;
-      Stats.PrunedByThreeThree += S.PrunedByThreeThree;
-      Result.Workers[static_cast<std::size_t>(Msg.Source - 1)] = W;
-      ++StatsCollected;
-    }
+  // Folds one worker's final Stats message into the result; a malformed
+  // one still ends that worker's part. Every exit path collects all of
+  // them, so slaves always unblock.
+  int StatsCollected = 0;
+  auto absorbStats = [&](const Message &Msg) {
+    ++StatsCollected;
+    BnbStats S;
+    WorkerStats W;
+    if (!decodeStats(Msg.Payload, S, W))
+      return;
+    Stats.Branched += S.Branched;
+    Stats.Generated += S.Generated;
+    Stats.PrunedByBound += S.PrunedByBound;
+    Stats.PrunedByThreeThree += S.PrunedByThreeThree;
+    Result.Workers[static_cast<std::size_t>(Msg.Source - 1)] = W;
   };
 
-  if (M.size() <= 1) {
-    if (M.size() == 1) {
-      Result.Tree.addLeaf(0);
-      Result.Tree.setNames(M.names());
-    }
+  if (solveTrivial(M, Result)) {
     Self.broadcast(MpTagTerminate);
-    collectStats(Result.Stats);
+    while (StatsCollected < NumWorkers) {
+      Message Msg = Self.recv();
+      if (Msg.Tag == MpTagStats)
+        absorbStats(Msg);
+    }
     return Result;
   }
 
+  // Master phase (Steps 4-6): seed the BBT to 2x the number of computing
+  // nodes, sort by bound and deal cyclically.
   BnbEngine Engine(M, Options);
-  const double Eps = Options.Epsilon;
-  double Ub = Engine.initialUpperBound();
-  bool HasBest = false;
-  Topology BestTopology;
-
-  // Master phase: seed the BBT to 2x the number of computing nodes.
-  std::deque<Topology> Frontier;
-  std::vector<BranchedChild> Branches;
-  Frontier.push_back(Engine.rootTopology());
-  BnbStats &Stats = Result.Stats;
-  while (!Frontier.empty() &&
-         static_cast<int>(Frontier.size()) < 2 * NumWorkers) {
-    Topology T = std::move(Frontier.front());
-    Frontier.pop_front();
-    if (Engine.isComplete(T)) {
-      if (T.cost() < Ub - Eps) {
-        Ub = T.cost();
-        BestTopology = T;
-        HasBest = true;
-      }
-      continue;
-    }
-    ++Stats.Branched;
-    Engine.branch(T, Ub, Stats, Branches);
-    for (BranchedChild &BC : Branches) {
-      Topology &Child = BC.Node;
-      if (Engine.isComplete(Child)) {
-        if (Child.cost() < Ub - Eps) {
-          Ub = Child.cost();
-          BestTopology = Child;
-          HasBest = true;
-          ++Stats.UbUpdates;
-        }
-        continue;
-      }
-      Frontier.push_back(std::move(Child));
-    }
-  }
-  std::vector<Topology> Sorted(std::make_move_iterator(Frontier.begin()),
-                               std::make_move_iterator(Frontier.end()));
-  std::sort(Sorted.begin(), Sorted.end(),
-            [&Engine](const Topology &A, const Topology &B) {
-              return Engine.lowerBound(A) < Engine.lowerBound(B);
-            });
+  Incumbent Best(Engine);
+  std::vector<std::deque<Topology>> Pools = dealByBound(
+      Engine,
+      seedFrontier(Engine, 2 * static_cast<std::size_t>(NumWorkers), Best,
+                   Stats),
+      NumWorkers);
 
   // Init every worker with the relabeled matrix and UB.
   {
+    const DistanceMatrix &Relabeled = Engine.relabeledMatrix();
     ByteWriter Writer;
-    Writer.writeF64(Ub);
-    std::vector<std::uint8_t> InitPayload = Writer.take();
-    std::vector<std::uint8_t> MatrixBytes =
-        encodeMatrix(Engine.relabeledMatrix());
-    InitPayload.insert(InitPayload.end(), MatrixBytes.begin(),
-                       MatrixBytes.end());
+    Writer.reserve(8 + matrixWireBytes(Relabeled));
+    Writer.writeF64(Best.upperBound());
+    writeMatrix(Writer, Relabeled);
     for (int W = 1; W <= NumWorkers; ++W)
-      Self.send(W, MpTagInit, InitPayload);
+      Self.send(W, MpTagInit, Writer.bytes());
   }
 
   // Credit counters per worker rank: master Work grants plus reported
@@ -457,38 +407,32 @@ MpMutResult mutk::runMpMaster(MpEndpoint &Self, const DistanceMatrix &M,
   std::vector<std::uint64_t> Expected(static_cast<std::size_t>(NumWorkers) + 1,
                                       0);
 
-  // Deal the sorted frontier cyclically (Step 6 of the paper).
-  for (std::size_t I = 0; I < Sorted.size(); ++I) {
-    int Dest = 1 + static_cast<int>(I % static_cast<std::size_t>(NumWorkers));
-    ++Expected[static_cast<std::size_t>(Dest)];
-    Self.send(Dest, MpTagWork, encodeTopology(Sorted[I]));
-  }
+  // Ship each pool front to back: the slave appends every Work to its
+  // own pool, which then also ends with its best node at the back.
+  for (int W = 1; W <= NumWorkers; ++W)
+    for (const Topology &T : Pools[static_cast<std::size_t>(W - 1)]) {
+      ++Expected[static_cast<std::size_t>(W)];
+      Self.send(W, MpTagWork, encodeTopology(T));
+    }
 
   // Coordinator loop.
   std::deque<Topology> GlobalPool;
   std::deque<int> PendingRequesters;
-  int StatsCollected = 0;
   bool Terminating = false;
   while (StatsCollected < NumWorkers) {
     Message Msg = Self.recv();
     switch (Msg.Tag) {
     case MpTagSolution: {
+      // The topology carries its own cost; the leading copy is read
+      // past. A malformed solution is ignored.
       ByteReader Reader(Msg.Payload);
       double Cost;
-      bool Ok = Reader.readF64(Cost);
-      assert(Ok && "malformed Solution payload");
-      (void)Ok;
-      if (Cost < Ub - Eps) {
-        std::vector<std::uint8_t> TopoBytes(Msg.Payload.begin() + 8,
-                                            Msg.Payload.end());
-        auto T = decodeTopology(TopoBytes);
-        assert(T && "malformed Solution topology");
-        Ub = Cost;
-        BestTopology = std::move(*T);
-        HasBest = true;
+      std::optional<Topology> T;
+      if (Reader.readF64(Cost) && readTopology(Reader, T) &&
+          Reader.atEnd() && Best.offer(*T)) {
         ++Stats.UbUpdates;
         ByteWriter Writer;
-        Writer.writeF64(Ub);
+        Writer.writeF64(Best.upperBound());
         Self.broadcast(MpTagUbUpdate, Writer.bytes());
       }
       break;
@@ -547,43 +491,16 @@ MpMutResult mutk::runMpMaster(MpEndpoint &Self, const DistanceMatrix &M,
       }
       break;
     }
-    case MpTagStats: {
-      ByteReader Reader(Msg.Payload);
-      BnbStats S;
-      WorkerStats W;
-      bool Ok = Reader.readU64(S.Branched) && Reader.readU64(S.Generated) &&
-                Reader.readU64(S.PrunedByBound) &&
-                Reader.readU64(S.PrunedByThreeThree) &&
-                Reader.readU64(S.UbUpdates) && Reader.readU64(W.Branched) &&
-                Reader.readU64(W.PulledFromGlobal) &&
-                Reader.readU64(W.DonatedToGlobal) &&
-                Reader.readU64(W.UbUpdates) &&
-                Reader.readU64(W.StolenFromPeers) &&
-                Reader.readU64(W.DonatedToPeers) &&
-                Reader.readU64(W.PeerUbBroadcasts);
-      assert(Ok && "malformed Stats payload");
-      (void)Ok;
-      Stats.Branched += S.Branched;
-      Stats.Generated += S.Generated;
-      Stats.PrunedByBound += S.PrunedByBound;
-      Stats.PrunedByThreeThree += S.PrunedByThreeThree;
-      Result.Workers[static_cast<std::size_t>(Msg.Source - 1)] = W;
-      ++StatsCollected;
+    case MpTagStats:
+      absorbStats(Msg);
       break;
-    }
     default:
       assert(false && "unexpected message tag at master");
       break;
     }
   }
 
-  if (HasBest) {
-    Result.Tree = Engine.finalize(BestTopology);
-    Result.Cost = BestTopology.cost();
-  } else {
-    Result.Tree = Engine.initialTree();
-    Result.Cost = Engine.initialUpperBound();
-  }
+  Best.finish(Result);
   return Result;
 }
 

@@ -37,7 +37,15 @@
 /// Unlike `parallel/ThreadedBnb.h` (shared-memory upper bound), nothing
 /// here crosses ranks except messages, so the implementation doubles as
 /// executable documentation of the original cluster protocol — and runs
-/// unchanged across machines over `dist/MpSocket.h`.
+/// unchanged across machines over `dist/MpSocket.h`. The search itself
+/// (the master phase, the node step, the incumbent) is `bnb/Search.h`,
+/// shared with every other driver; this file holds the protocol.
+///
+/// A slave reads payloads from a peer it does not control. A malformed
+/// one — a short Init, a matrix outside 2..`MaxBnbSpecies` species, a
+/// Work or StealReply that is not one whole topology, an unsolicited
+/// StealReply, a tag no master sends — ends its session the way a
+/// broken link does: the slave sends its Stats and returns.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -109,8 +117,9 @@ MpMutResult runMpMaster(MpEndpoint &Self, const DistanceMatrix &M,
                         const MpProtocolOptions &Proto = {});
 
 /// Runs one slave computing node over \p Self until the master
-/// terminates the search. \returns the worker counters this slave also
-/// shipped to the master in its final Stats message.
+/// terminates the search, the link breaks or a payload is malformed.
+/// \returns the worker counters this slave also shipped to the master in
+/// its final Stats message.
 WorkerStats runMpSlave(MpEndpoint &Self, const BnbOptions &Options = {},
                        const MpProtocolOptions &Proto = {});
 

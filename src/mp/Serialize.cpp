@@ -380,16 +380,27 @@ mutk::decodePhyloTree(const std::vector<std::uint8_t> &Bytes) {
   return Tree;
 }
 
+void mutk::writeBnbCounters(ByteWriter &Writer, const BnbStats &Stats) {
+  Writer.writeU64(Stats.Branched);
+  Writer.writeU64(Stats.Generated);
+  Writer.writeU64(Stats.PrunedByBound);
+  Writer.writeU64(Stats.PrunedByThreeThree);
+  Writer.writeU64(Stats.UbUpdates);
+}
+
+bool mutk::readBnbCounters(ByteReader &Reader, BnbStats &Stats) {
+  return Reader.readU64(Stats.Branched) && Reader.readU64(Stats.Generated) &&
+         Reader.readU64(Stats.PrunedByBound) &&
+         Reader.readU64(Stats.PrunedByThreeThree) &&
+         Reader.readU64(Stats.UbUpdates);
+}
+
 std::vector<std::uint8_t>
 mutk::encodeSearchCheckpoint(const SearchCheckpoint &Ck) {
   ByteWriter Writer;
   Writer.writeU64(Ck.MatrixKey);
   Writer.writeF64(Ck.UpperBound);
-  Writer.writeU64(Ck.Stats.Branched);
-  Writer.writeU64(Ck.Stats.Generated);
-  Writer.writeU64(Ck.Stats.PrunedByBound);
-  Writer.writeU64(Ck.Stats.PrunedByThreeThree);
-  Writer.writeU64(Ck.Stats.UbUpdates);
+  writeBnbCounters(Writer, Ck.Stats);
   Writer.writeU8(Ck.Stats.Complete ? 1 : 0);
   writePhyloTree(Writer, Ck.Incumbent);
   Writer.writeU32(static_cast<std::uint32_t>(Ck.Frontier.size()));
@@ -404,11 +415,7 @@ mutk::decodeSearchCheckpoint(const std::vector<std::uint8_t> &Bytes) {
   SearchCheckpoint Ck;
   std::uint8_t Complete;
   if (!Reader.readU64(Ck.MatrixKey) || !Reader.readF64(Ck.UpperBound) ||
-      !Reader.readU64(Ck.Stats.Branched) ||
-      !Reader.readU64(Ck.Stats.Generated) ||
-      !Reader.readU64(Ck.Stats.PrunedByBound) ||
-      !Reader.readU64(Ck.Stats.PrunedByThreeThree) ||
-      !Reader.readU64(Ck.Stats.UbUpdates) || !Reader.readU8(Complete) ||
+      !readBnbCounters(Reader, Ck.Stats) || !Reader.readU8(Complete) ||
       Complete > 1)
     return std::nullopt;
   Ck.Stats.Complete = Complete == 1;

@@ -135,6 +135,18 @@ std::vector<std::uint8_t> encodePhyloTree(const PhyloTree &Tree);
 std::optional<PhyloTree>
 decodePhyloTree(const std::vector<std::uint8_t> &Bytes);
 
+/// \name Search counters.
+///
+/// The five `BnbStats` counters that cross a process boundary, as u64s
+/// in a fixed order: branched, generated, pruned by bound, pruned by
+/// 3-3, upper-bound updates. `BoundEvals` is process-local and
+/// `Complete` is up to the enclosing message. Shared by the checkpoint
+/// codec and the MP Stats message.
+/// @{
+void writeBnbCounters(ByteWriter &Writer, const BnbStats &Stats);
+bool readBnbCounters(ByteReader &Reader, BnbStats &Stats);
+/// @}
+
 /// Encodes a branch-and-bound search checkpoint: the open frontier, the
 /// incumbent tree, the upper bound and the counters accumulated so far
 /// (`bnb/Checkpoint.h`). Persisted atomically by `persist/Checkpoint.h`.

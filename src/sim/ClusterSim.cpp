@@ -2,7 +2,7 @@
 
 #include "sim/ClusterSim.h"
 
-#include "bnb/Engine.h"
+#include "bnb/Search.h"
 
 #include <algorithm>
 #include <cassert>
@@ -48,68 +48,22 @@ ClusterSimResult mutk::simulateClusterBnb(const DistanceMatrix &M,
 
   ClusterSimResult Result;
   Result.Nodes.resize(static_cast<std::size_t>(Spec.NumNodes));
-  if (M.size() <= 1) {
-    if (M.size() == 1) {
-      Result.Tree.addLeaf(0);
-      Result.Tree.setNames(M.names());
-    }
+  if (solveTrivial(M, Result))
     return Result;
-  }
 
   BnbEngine Engine(M, Options);
   const double Eps = Options.Epsilon;
   const int P = Spec.NumNodes;
-
-  double GlobalUb = Engine.initialUpperBound();
-  bool HasBest = false;
-  Topology BestTopology;
-
-  auto acceptSolution = [&](const Topology &T) {
-    double Cost = T.cost();
-    if (Cost >= GlobalUb - Eps)
-      return false;
-    GlobalUb = Cost;
-    BestTopology = T;
-    HasBest = true;
-    return true;
-  };
-
-  // --- Master phase (Steps 4-5): seed the BBT to 2 * P frontier nodes.
-  std::deque<Topology> Frontier;
-  std::vector<BranchedChild> Branches;
-  Frontier.push_back(Engine.rootTopology());
+  Incumbent GlobalBest(Engine);
   BnbStats &Stats = Result.Stats;
-  std::uint64_t SeedBranched = 0;
-  while (!Frontier.empty() && static_cast<int>(Frontier.size()) < 2 * P) {
-    Topology T = std::move(Frontier.front());
-    Frontier.pop_front();
-    if (Engine.isComplete(T)) {
-      acceptSolution(T);
-      continue;
-    }
-    ++Stats.Branched;
-    ++SeedBranched;
-    Engine.branch(T, GlobalUb, Stats, Branches);
-    for (BranchedChild &BC : Branches) {
-      Topology &Child = BC.Node;
-      if (Engine.isComplete(Child)) {
-        if (acceptSolution(Child))
-          ++Stats.UbUpdates;
-        continue;
-      }
-      Frontier.push_back(std::move(Child));
-    }
-  }
-  Result.SeedTime =
-      static_cast<double>(SeedBranched) * Spec.BranchCost;
 
-  // --- Step 6: sort by LB, deal cyclically, charge the transfer.
-  std::vector<Topology> Sorted(std::make_move_iterator(Frontier.begin()),
-                               std::make_move_iterator(Frontier.end()));
-  std::sort(Sorted.begin(), Sorted.end(),
-            [&Engine](const Topology &A, const Topology &B) {
-              return Engine.lowerBound(A) < Engine.lowerBound(B);
-            });
+  // --- Master phase (Steps 4-6): seed the BBT to 2 * P frontier nodes,
+  // sort by LB, deal cyclically, charge the transfer.
+  std::vector<std::deque<Topology>> Pools = dealByBound(
+      Engine, seedFrontier(Engine, 2 * static_cast<std::size_t>(P), GlobalBest,
+                           Stats),
+      P);
+  Result.SeedTime = static_cast<double>(Stats.Branched) * Spec.BranchCost;
 
   std::vector<SimNode> Nodes(static_cast<std::size_t>(P));
   for (int I = 0; I < P; ++I) {
@@ -119,14 +73,14 @@ ClusterSimResult mutk::simulateClusterBnb(const DistanceMatrix &M,
                   : 1.0;
     assert(N.Speed > 0.0 && "node speeds must be positive");
     N.Clock = Result.SeedTime + Spec.PoolTransferCost;
-    N.KnownUb = GlobalUb;
+    N.KnownUb = GlobalBest.upperBound();
+    N.Local = std::move(Pools[static_cast<std::size_t>(I)]);
   }
-  for (std::size_t I = 0; I < Sorted.size(); ++I)
-    Nodes[I % static_cast<std::size_t>(P)].Local.push_front(
-        std::move(Sorted[I])); // back = best after the push_front deal
 
   std::vector<UbEvent> Events;
   std::deque<PoolEntry> GlobalPool;
+  TopologyArena Arena(Engine.numSpecies());
+  std::vector<BranchedChild> Children;
 
   // --- Step 7: event loop. Always advance the node able to act at the
   // earliest virtual time.
@@ -185,38 +139,31 @@ ClusterSimResult mutk::simulateClusterBnb(const DistanceMatrix &M,
       if (E.Time + Spec.UbBroadcastLatency <= N.Clock)
         N.KnownUb = std::min(N.KnownUb, E.Value);
 
-    if (Engine.lowerBound(Current) >= N.KnownUb - Eps) {
-      double Cost = Spec.BoundCheckCost / N.Speed;
-      N.Clock += Cost;
-      N.Stats.BusyTime += Cost;
-      N.Stats.FinishTime = N.Clock;
-      ++Stats.PrunedByBound;
-      continue;
-    }
-
-    ++Stats.Branched;
-    ++N.Stats.Branched;
-    double Cost = Spec.BranchCost / N.Speed;
-    N.Clock += Cost;
-    N.Stats.BusyTime += Cost;
+    // A branching is published when it completes, at Clock + BranchTime.
+    const double BranchTime = Spec.BranchCost / N.Speed;
+    const bool Branched = searchStep(
+        Engine, std::move(Current), N.KnownUb, Stats, Arena, Children,
+        ChildOrder::WorstFirst,
+        [&](const Topology &Child) {
+          const double Cost = Child.cost();
+          if (Cost < N.KnownUb - Eps) {
+            N.KnownUb = Cost;
+            ++N.Stats.UbUpdates;
+            Events.push_back(UbEvent{N.Clock + BranchTime, Cost});
+            if (GlobalBest.offer(Child))
+              ++Stats.UbUpdates;
+          }
+        },
+        [&](BranchedChild &&Child) {
+          N.Local.push_back(std::move(Child.Node));
+        });
+    const double Busy = Branched ? BranchTime : Spec.BoundCheckCost / N.Speed;
+    N.Clock += Busy;
+    N.Stats.BusyTime += Busy;
     N.Stats.FinishTime = N.Clock;
-
-    Engine.branch(Current, N.KnownUb, Stats, Branches);
-    for (std::size_t I = Branches.size(); I > 0; --I) {
-      Topology &Child = Branches[I - 1].Node;
-      if (Engine.isComplete(Child)) {
-        double ChildCost = Child.cost();
-        if (ChildCost < N.KnownUb - Eps) {
-          N.KnownUb = ChildCost;
-          ++N.Stats.UbUpdates;
-          Events.push_back(UbEvent{N.Clock, ChildCost});
-          if (acceptSolution(Child))
-            ++Stats.UbUpdates;
-        }
-        continue;
-      }
-      N.Local.push_back(std::move(Child)); // worst first, best last
-    }
+    if (!Branched)
+      continue;
+    ++N.Stats.Branched;
 
     // Donate the worst local node when the global pool is dry.
     if (Spec.UseGlobalPool && GlobalPool.empty() && N.Local.size() > 1) {
@@ -239,13 +186,7 @@ ClusterSimResult mutk::simulateClusterBnb(const DistanceMatrix &M,
     S.IdleTime += Makespan - S.FinishTime;
   Result.Makespan = Makespan;
 
-  if (HasBest) {
-    Result.Tree = Engine.finalize(BestTopology);
-    Result.Cost = BestTopology.cost();
-  } else {
-    Result.Tree = Engine.initialTree();
-    Result.Cost = Engine.initialUpperBound();
-  }
+  GlobalBest.finish(Result);
   return Result;
 }
 

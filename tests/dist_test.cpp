@@ -391,6 +391,31 @@ TEST(DistBnb, SessionSpecRejectsCorruption) {
   EXPECT_FALSE(decodeMpSessionSpec(encodeMpSessionSpec(Bad)).has_value());
 }
 
+TEST(DistBnb, SlaveSessionEndsOnMalformedInit) {
+  // Any connection that opens with MpOpen reaches this function, so its
+  // first payload is untrusted: a 3-byte Init must end the session with
+  // the slave's Stats, not abort the hosting peer.
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  MpSessionSpec Spec;
+  std::thread Session([Fd = Fds[1], Spec] { serveMpSlaveSession(Fd, Spec); });
+  DistFrame Init;
+  Init.Verb = DistVerb::MpMsg;
+  Init.Body = encodeMpMsgBody(0, 1, MpTagInit, {1, 2, 3});
+  ASSERT_TRUE(writeDistFrame(Fds[0], Init));
+  DistFrame Reply;
+  ASSERT_EQ(readDistFrame(Fds[0], Reply), FrameError::None);
+  int Src = -1, Dest = -1, Tag = 0;
+  std::vector<std::uint8_t> Payload;
+  ASSERT_TRUE(decodeMpMsgBody(Reply.Body, Src, Dest, Tag, Payload));
+  EXPECT_EQ(Src, 1);
+  EXPECT_EQ(Dest, 0);
+  EXPECT_EQ(Tag, MpTagStats);
+  Session.join(); // returned on its own: no Terminate was sent
+  ::close(Fds[0]);
+  ::close(Fds[1]);
+}
+
 /// Runs a full master/slave search over socketpairs: the master loop in
 /// this thread, each slave session in its own thread, exactly as the
 /// cluster serves them over TCP.

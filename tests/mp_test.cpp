@@ -10,6 +10,7 @@
 
 #include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
 
 using namespace mutk;
@@ -351,6 +352,53 @@ TEST(MpBnb, SlaveToleratesRelayedFramesBeforeInit) {
   Message Stats = World.endpoint(0).recv();
   EXPECT_EQ(Stats.Tag, MpTagStats);
   SlaveThread.join();
+}
+
+// A slave reads payloads from a peer that may be buggy or hostile. A
+// malformed one ends the session the way a broken link does — the slave
+// reports its counters and returns — instead of aborting the process
+// that hosts it.
+TEST(MpBnb, SlaveEndsSessionOnMalformedPayload) {
+  auto initPayload = [](const DistanceMatrix &M) {
+    ByteWriter Writer;
+    Writer.writeF64(100.0);
+    writeMatrix(Writer, M);
+    return Writer.take();
+  };
+  struct Frame {
+    int Tag;
+    std::vector<std::uint8_t> Payload;
+  };
+  const std::vector<std::uint8_t> ValidInit =
+      initPayload(uniformRandomMetric(6, 1));
+  const std::vector<std::pair<std::string, std::vector<Frame>>> Cases = {
+      {"short Init", {{MpTagInit, {1, 2, 3}}}},
+      {"1-species Init", {{MpTagInit, initPayload(DistanceMatrix(1))}}},
+      {"65-species Init",
+       {{MpTagInit, initPayload(uniformRandomMetric(65, 2))}}},
+      {"garbage Work",
+       {{MpTagInit, ValidInit}, {MpTagWork, {0xde, 0xad, 0xbe, 0xef, 0x01}}}},
+      {"short UbUpdate", {{MpTagInit, ValidInit}, {MpTagUbUpdate, {1, 2}}}},
+  };
+  for (const auto &[Name, Frames] : Cases) {
+    Communicator World(2);
+    Communicator::Endpoint Master = World.endpoint(0);
+    for (const Frame &F : Frames)
+      Master.send(1, F.Tag, F.Payload);
+    std::thread Slave([&World] {
+      Communicator::Endpoint Self = World.endpoint(1);
+      runMpSlave(Self);
+    });
+    // A WorkRequest means the slave took the payload and waits for more.
+    Message Reply = Master.recv();
+    if (Reply.Tag == MpTagWorkRequest) {
+      ADD_FAILURE() << Name << ": the slave accepted the payload";
+      Master.send(1, MpTagTerminate);
+      Reply = Master.recv();
+    }
+    EXPECT_EQ(Reply.Tag, MpTagStats) << Name;
+    Slave.join();
+  }
 }
 
 class MpProperty : public testing::TestWithParam<int> {};
