@@ -504,6 +504,70 @@ TEST(ProtocolCodec, BuildRequestEmbedsTheMatrixCodec) {
   }
 }
 
+TEST(ProtocolCodec, StatsBytesArePinned) {
+  // Protocol v3 Stats answer: a distinct value in every field, so a
+  // reordered, dropped or doubled field changes these bytes.
+  Response R;
+  R.V = Verb::Stats;
+  StatsSnapshot &S = R.Stats;
+  S.Accepted = 1;
+  S.Completed = 2;
+  S.Failed = 3;
+  S.WholeHits = 4;
+  S.WholeMisses = 5;
+  S.BlockHits = 6;
+  S.BlockMisses = 7;
+  S.BlockRemoteHits = 8;
+  S.IncrementalApplied = 9;
+  S.IncrementalDirty = 10;
+  S.IncrementalClean = 11;
+  S.DeadlineExpired = 12;
+  S.Rejected = 13;
+  S.Shed = 14;
+  S.RateLimited = 15;
+  S.TierExact = 16;
+  S.TierPipeline = 17;
+  S.TierHeuristic = 18;
+  S.Coalesced = 19;
+  S.QueueDepth = 20;
+  S.CacheEntries = 21;
+  S.P50Millis = 1.5;
+  S.P95Millis = 2.25;
+  const std::string Pinned =
+      "02"                 // verb Stats
+      "00"                 // no error
+      "00000000"           // empty message
+      "0100000000000000"   // accepted 1
+      "0200000000000000"   // completed 2
+      "0300000000000000"   // failed 3
+      "0400000000000000"   // whole hits 4
+      "0500000000000000"   // whole misses 5
+      "0600000000000000"   // block hits 6
+      "0700000000000000"   // block misses 7
+      "0800000000000000"   // block remote hits 8
+      "0900000000000000"   // incremental applied 9
+      "0a00000000000000"   // incremental dirty 10
+      "0b00000000000000"   // incremental clean 11
+      "0c00000000000000"   // deadline expired 12
+      "0d00000000000000"   // rejected 13
+      "0e00000000000000"   // shed 14
+      "0f00000000000000"   // rate limited 15
+      "1000000000000000"   // tier exact 16
+      "1100000000000000"   // tier pipeline 17
+      "1200000000000000"   // tier heuristic 18
+      "1300000000000000"   // coalesced 19
+      "1400000000000000"   // queue depth 20
+      "1500000000000000"   // cache entries 21
+      "000000000000f83f"   // p50 1.5 ms
+      "0000000000000240";  // p95 2.25 ms
+  std::vector<std::uint8_t> Bytes = encodeResponse(R);
+  EXPECT_EQ(hexOf(Bytes), Pinned);
+
+  std::optional<Response> Back = decodeResponse(Bytes);
+  ASSERT_TRUE(Back.has_value());
+  EXPECT_EQ(encodeResponse(*Back), Bytes);
+}
+
 //===----------------------------------------------------------------------===//
 // Byte codec primitives
 //===----------------------------------------------------------------------===//
