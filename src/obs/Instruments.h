@@ -29,7 +29,8 @@ struct BnbStats;
 
 namespace mutk::obs {
 
-/// Hooks a `BoundedQueue` updates when attached (all optional).
+/// Hooks the service's `qos::ReadyQueue` updates when attached (all
+/// optional).
 struct QueueInstruments {
   Gauge *Depth = nullptr;       ///< Items currently queued.
   Counter *Enqueued = nullptr;  ///< Successful pushes.

@@ -1,10 +1,9 @@
 //===- qos/Scheduler.h - Priority/EDF ready queue ---------------*- C++ -*-===//
 ///
 /// \file
-/// The QoS replacement for the service's FIFO-only `BoundedQueue`: a
-/// bounded MPMC ready queue whose consumers are handed the *best* entry
-/// rather than the oldest. Each entry carries a `Ticket` (priority,
-/// deadline, tenant) and the pick order is:
+/// The service's job queue: a bounded MPMC ready queue whose consumers
+/// are handed the *best* entry rather than the oldest. Each entry
+/// carries a `Ticket` (priority, deadline, tenant) and the pick order is:
 ///
 ///   1. *Starvation hatch*: any entry queued longer than
 ///      `StarvationMillis` is served oldest-first regardless of rank, so
@@ -18,12 +17,12 @@
 ///   5. Submission order (FIFO).
 ///
 /// With uniform tickets — the QoS-off configuration — every comparison
-/// ties and rule 5 degrades the queue to *exactly* the FIFO it replaces,
-/// which is what keeps the non-QoS service behavior (and its tests)
-/// unchanged. Close/drain semantics mirror `BoundedQueue` precisely:
-/// `push` blocks while full and fails only once closed, `pop` drains
-/// accepted items after close, and failed pushes leave the item
-/// untouched in the caller (its promise still has to be resolved).
+/// ties and rule 5 degrades the queue to *exactly* a FIFO, which is what
+/// keeps the non-QoS service behavior (and its tests) unchanged.
+/// Close/drain semantics: `push` blocks while full and fails only once
+/// closed, `pop` drains accepted items after close, and failed pushes
+/// leave the item untouched in the caller (its promise still has to be
+/// resolved).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -99,8 +98,7 @@ private:
   std::unordered_map<std::string, std::uint64_t> ServedByTenant;
 };
 
-/// Bounded MPMC ready queue with ticket-ranked pops; drop-in for
-/// `BoundedQueue` (same blocking, close and drain semantics).
+/// Bounded MPMC ready queue with ticket-ranked pops.
 template <typename T> class ReadyQueue {
 public:
   explicit ReadyQueue(std::size_t Capacity, SchedulerOptions Options = {},

@@ -5,7 +5,8 @@
 // ThreadedBnb on tie-heavy matrices, hit/insert/evict storms on the
 // sharded result cache, eviction racing lookups on a single shard,
 // in-flight deadline expiry and shutdown in the loopback service, and
-// producer/consumer/close races on the bounded job queue.
+// producer/consumer/close races on the service's ready queue (default
+// tickets: the FIFO configuration).
 //
 // These tests assert *functional* outcomes (every future resolves, costs
 // match the sequential solver, counters add up); the sanitizers assert
@@ -17,7 +18,7 @@
 
 #include "matrix/Generators.h"
 #include "parallel/ThreadedBnb.h"
-#include "service/JobQueue.h"
+#include "qos/Scheduler.h"
 #include "service/ResultCache.h"
 #include "service/Service.h"
 
@@ -208,13 +209,13 @@ TEST(StressResultCache, ClearAndSizeDuringStores) {
 }
 
 //===----------------------------------------------------------------------===//
-// BoundedQueue close/drain races
+// Ready queue close/drain races
 //===----------------------------------------------------------------------===//
 
 // Producers, consumers, and a closer all contend on a two-slot queue;
 // after close, drained + popped must equal the number of accepted items.
 TEST(StressJobQueue, ProducersConsumersAndClose) {
-  BoundedQueue<int> Queue(2);
+  qos::ReadyQueue<int> Queue(2);
   std::atomic<int> Accepted{0};
   std::atomic<int> Consumed{0};
 
