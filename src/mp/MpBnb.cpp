@@ -419,6 +419,16 @@ MpMutResult mutk::runMpMaster(MpEndpoint &Self, const DistanceMatrix &M,
   std::deque<Topology> GlobalPool;
   std::deque<int> PendingRequesters;
   bool Terminating = false;
+  // A malformed payload from a slave ends the solve: skipping it could
+  // drop a donated subtree, so the master stops dealing, terminates every
+  // slave and returns its incumbent as unproven.
+  auto abandon = [&] {
+    Stats.Complete = false;
+    if (!Terminating) {
+      Terminating = true;
+      Self.broadcast(MpTagTerminate);
+    }
+  };
   while (StatsCollected < NumWorkers) {
     Message Msg = Self.recv();
     switch (Msg.Tag) {
@@ -438,8 +448,13 @@ MpMutResult mutk::runMpMaster(MpEndpoint &Self, const DistanceMatrix &M,
       break;
     }
     case MpTagDonation: {
-      auto T = decodeTopology(Msg.Payload);
-      assert(T && "malformed Donation payload");
+      std::optional<Topology> T = decodeTopology(Msg.Payload);
+      if (!T) {
+        abandon();
+        break;
+      }
+      if (Terminating)
+        break;
       if (!PendingRequesters.empty()) {
         int Dest = PendingRequesters.front();
         PendingRequesters.pop_front();
@@ -456,20 +471,23 @@ MpMutResult mutk::runMpMaster(MpEndpoint &Self, const DistanceMatrix &M,
       // node) is not mistaken for a stale one.
       ByteReader Reader(Msg.Payload);
       std::uint32_t Thief = 0;
-      bool Ok = Reader.readU32(Thief);
-      assert(Ok && Thief >= 1 &&
-             Thief <= static_cast<std::uint32_t>(NumWorkers) &&
-             "malformed StealGrant payload");
-      (void)Ok;
-      ++Expected[static_cast<std::size_t>(Thief)];
+      if (!Reader.readU32(Thief) || !Reader.atEnd() || Thief < 1 ||
+          Thief > static_cast<std::uint32_t>(NumWorkers)) {
+        abandon();
+        break;
+      }
+      ++Expected[Thief];
       break;
     }
     case MpTagWorkRequest: {
       ByteReader Reader(Msg.Payload);
       std::uint64_t Received = 0;
-      bool Ok = Reader.readU64(Received);
-      assert(Ok && "malformed WorkRequest payload");
-      (void)Ok;
+      if (!Reader.readU64(Received) || !Reader.atEnd()) {
+        abandon();
+        break;
+      }
+      if (Terminating)
+        break;
       if (Received < Expected[static_cast<std::size_t>(Msg.Source)])
         break; // stale: granted work is still in flight to this worker
       if (!GlobalPool.empty()) {
@@ -495,7 +513,7 @@ MpMutResult mutk::runMpMaster(MpEndpoint &Self, const DistanceMatrix &M,
       absorbStats(Msg);
       break;
     default:
-      assert(false && "unexpected message tag at master");
+      abandon(); // a tag no slave sends
       break;
     }
   }

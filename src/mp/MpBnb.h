@@ -45,7 +45,13 @@
 /// one — a short Init, a matrix outside 2..`MaxBnbSpecies` species, a
 /// Work or StealReply that is not one whole topology, an unsolicited
 /// StealReply, a tag no master sends — ends its session the way a
-/// broken link does: the slave sends its Stats and returns.
+/// broken link does: the slave sends its Stats and returns. The master
+/// cannot skip a malformed slave payload (a dropped Donation loses a
+/// subtree), so a Donation that is not one topology, a StealGrant that
+/// does not name a slave rank, a short WorkRequest or a tag no slave
+/// sends ends the solve: the master stops dealing, broadcasts
+/// Terminate, collects every Stats message and returns its incumbent
+/// with `Stats.Complete = false`.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -401,6 +401,57 @@ TEST(MpBnb, SlaveEndsSessionOnMalformedPayload) {
   }
 }
 
+// The master reads payloads from slaves it does not control either. A
+// malformed one ends the solve — skipping a Donation could lose a
+// subtree — so every slave is terminated and the incumbent comes back
+// marked incomplete.
+TEST(MpBnb, MasterEndsSolveOnMalformedSlavePayload) {
+  const DistanceMatrix M = uniformRandomMetric(9, 4);
+  const double Optimum = solveMutSequential(M).Cost;
+  auto u32 = [](std::uint32_t V) {
+    ByteWriter Writer;
+    Writer.writeU32(V);
+    return Writer.take();
+  };
+  struct Case {
+    std::string Name;
+    int Tag;
+    std::vector<std::uint8_t> Payload;
+  };
+  const std::vector<Case> Cases = {
+      {"StealGrant naming thief 0xfffffff0", MpTagStealGrant,
+       u32(0xFFFFFFF0u)},
+      {"StealGrant naming the master", MpTagStealGrant, u32(0)},
+      {"3-byte Donation", MpTagDonation, {1, 2, 3}},
+      {"short WorkRequest", MpTagWorkRequest, {1, 2}},
+      {"unknown tag", 99, {}},
+  };
+  for (const Case &C : Cases) {
+    Communicator World(2);
+    MpMutResult Result;
+    std::thread Master([&] {
+      Communicator::Endpoint Self = World.endpoint(0);
+      Result = runMpMaster(Self, M);
+    });
+    // A fake rank 1: take Init, answer with the malformed frame, then
+    // expect no more dealing — only the Terminate that ends the solve.
+    Communicator::Endpoint Slave = World.endpoint(1);
+    EXPECT_EQ(Slave.recv().Tag, MpTagInit) << C.Name;
+    Slave.send(0, C.Tag, C.Payload);
+    for (;;) {
+      Message Msg = Slave.recv();
+      if (Msg.Tag == MpTagTerminate)
+        break;
+      EXPECT_EQ(Msg.Tag, MpTagWork) << C.Name;
+    }
+    Slave.send(0, MpTagStats);
+    Master.join();
+    EXPECT_FALSE(Result.Stats.Complete) << C.Name;
+    EXPECT_GE(Result.Cost, Optimum - 1e-9) << C.Name;
+    EXPECT_EQ(Result.Tree.numLeaves(), M.size()) << C.Name;
+  }
+}
+
 class MpProperty : public testing::TestWithParam<int> {};
 
 TEST_P(MpProperty, OptimalAcrossWorkerCounts) {
