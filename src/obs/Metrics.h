@@ -50,6 +50,24 @@ private:
   std::atomic<std::uint64_t> V{0};
 };
 
+/// One component instance's own count of an event (a service, a cost
+/// model) whose registry twin counts the same event process-wide. `inc`
+/// is the only way to count, so the two scopes cannot drift apart.
+class InstanceCounter {
+public:
+  explicit InstanceCounter(Counter &Twin) : Twin(Twin) {}
+
+  void inc(std::uint64_t N = 1) {
+    Own.inc(N);
+    Twin.inc(N);
+  }
+  std::uint64_t value() const { return Own.value(); }
+
+private:
+  Counter Own;
+  Counter &Twin;
+};
+
 /// Instantaneous signed level (queue depth, in-flight jobs). `add`/`sub`
 /// pairs from any thread keep it consistent without a lock.
 class Gauge {

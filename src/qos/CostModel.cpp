@@ -4,7 +4,6 @@
 
 #include "graph/Hierarchy.h"
 #include "matrix/Fingerprint.h"
-#include "obs/Instruments.h"
 
 #include <algorithm>
 #include <cmath>
@@ -88,13 +87,11 @@ DifficultyProfile CostModel::profileFor(const DistanceMatrix &M) {
       // Refresh recency; a fingerprint collision at worst re-ranks a
       // request (the profile is advisory, never a correctness input).
       Recency.splice(Recency.begin(), Recency, It->second.Recency);
-      MemoHits.fetch_add(1, std::memory_order_relaxed);
-      obs::qosInstruments().ProfileMemoHits.inc();
+      MemoHits.inc();
       return It->second.Profile;
     }
   }
-  DryRuns.fetch_add(1, std::memory_order_relaxed);
-  obs::qosInstruments().ProfileDryRuns.inc();
+  DryRuns.inc();
   DifficultyProfile P = computeProfile(M);
   MutexLock Lock(MemoMu);
   if (Memo.find(Key) == Memo.end()) {

@@ -29,6 +29,7 @@
 #define MUTK_QOS_COSTMODEL_H
 
 #include "matrix/DistanceMatrix.h"
+#include "obs/Instruments.h"
 #include "support/Mutex.h"
 
 #include <atomic>
@@ -127,8 +128,8 @@ public:
 
   /// \name Memo accounting (tested; also exported as metrics).
   /// @{
-  std::uint64_t dryRuns() const { return DryRuns.load(std::memory_order_relaxed); }
-  std::uint64_t memoHits() const { return MemoHits.load(std::memory_order_relaxed); }
+  std::uint64_t dryRuns() const { return DryRuns.value(); }
+  std::uint64_t memoHits() const { return MemoHits.value(); }
   /// @}
 
   const CostModelOptions &options() const { return Options; }
@@ -140,8 +141,8 @@ private:
   /// hot-path read stays a relaxed atomic load (atomic<double> is not
   /// lock-free everywhere).
   std::atomic<std::uint64_t> NanosPerNodeQ16{0};
-  std::atomic<std::uint64_t> DryRuns{0};
-  std::atomic<std::uint64_t> MemoHits{0};
+  obs::InstanceCounter DryRuns{obs::qosInstruments().ProfileDryRuns};
+  obs::InstanceCounter MemoHits{obs::qosInstruments().ProfileMemoHits};
 
   struct MemoEntry {
     DifficultyProfile Profile;

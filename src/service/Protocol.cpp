@@ -3,6 +3,7 @@
 #include "service/Protocol.h"
 
 #include "mp/Serialize.h"
+#include "service/ServiceStats.h"
 
 #include <cassert>
 
@@ -234,25 +235,8 @@ bool readBuildResponse(ByteReader &R, BuildResponse &B) {
 }
 
 void writeStats(ByteWriter &W, const StatsSnapshot &S) {
-  W.writeU64(S.Accepted);
-  W.writeU64(S.Completed);
-  W.writeU64(S.Failed);
-  W.writeU64(S.WholeHits);
-  W.writeU64(S.WholeMisses);
-  W.writeU64(S.BlockHits);
-  W.writeU64(S.BlockMisses);
-  W.writeU64(S.BlockRemoteHits);
-  W.writeU64(S.IncrementalApplied);
-  W.writeU64(S.IncrementalDirty);
-  W.writeU64(S.IncrementalClean);
-  W.writeU64(S.DeadlineExpired);
-  W.writeU64(S.Rejected);
-  W.writeU64(S.Shed);
-  W.writeU64(S.RateLimited);
-  W.writeU64(S.TierExact);
-  W.writeU64(S.TierPipeline);
-  W.writeU64(S.TierHeuristic);
-  W.writeU64(S.Coalesced);
+  for (const ServiceCounterRow &Row : ServiceCounterRows)
+    W.writeU64(S.*Row.Field);
   W.writeU64(S.QueueDepth);
   W.writeU64(S.CacheEntries);
   W.writeF64(S.P50Millis);
@@ -260,18 +244,11 @@ void writeStats(ByteWriter &W, const StatsSnapshot &S) {
 }
 
 bool readStats(ByteReader &R, StatsSnapshot &S) {
-  return R.readU64(S.Accepted) && R.readU64(S.Completed) &&
-         R.readU64(S.Failed) && R.readU64(S.WholeHits) &&
-         R.readU64(S.WholeMisses) && R.readU64(S.BlockHits) &&
-         R.readU64(S.BlockMisses) && R.readU64(S.BlockRemoteHits) &&
-         R.readU64(S.IncrementalApplied) && R.readU64(S.IncrementalDirty) &&
-         R.readU64(S.IncrementalClean) && R.readU64(S.DeadlineExpired) &&
-         R.readU64(S.Rejected) && R.readU64(S.Shed) &&
-         R.readU64(S.RateLimited) && R.readU64(S.TierExact) &&
-         R.readU64(S.TierPipeline) && R.readU64(S.TierHeuristic) &&
-         R.readU64(S.Coalesced) && R.readU64(S.QueueDepth) &&
-         R.readU64(S.CacheEntries) && R.readF64(S.P50Millis) &&
-         R.readF64(S.P95Millis);
+  for (const ServiceCounterRow &Row : ServiceCounterRows)
+    if (!R.readU64(S.*Row.Field))
+      return false;
+  return R.readU64(S.QueueDepth) && R.readU64(S.CacheEntries) &&
+         R.readF64(S.P50Millis) && R.readF64(S.P95Millis);
 }
 
 } // namespace

@@ -230,7 +230,9 @@ struct BuildResponse {
   bool ok() const { return Error == ServiceError::None; }
 };
 
-/// Counter block answered to `Stats`.
+/// Counter block answered to `Stats`. Its counters are the rows of
+/// `MUTK_SERVICE_COUNTERS` (`service/ServiceStats.h`), which fixes their
+/// wire order.
 struct StatsSnapshot {
   std::uint64_t Accepted = 0;  ///< Jobs admitted to the queue.
   std::uint64_t Completed = 0; ///< Jobs answered successfully.

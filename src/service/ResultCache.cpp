@@ -24,10 +24,8 @@ bool ShardedLruCache::shardConsistent(const Shard &S) const {
 ShardedLruCache::ShardedLruCache(std::size_t Capacity, int NumShards) {
   NumShards = std::max(1, NumShards);
   Shards.reserve(static_cast<std::size_t>(NumShards));
-  for (int I = 0; I < NumShards; ++I) {
+  for (int I = 0; I < NumShards; ++I)
     Shards.push_back(std::make_unique<Shard>());
-    Shards.back()->Id = I;
-  }
   CapacityPerShard =
       std::max<std::size_t>(1, Capacity / static_cast<std::size_t>(NumShards));
 }
@@ -35,32 +33,19 @@ ShardedLruCache::ShardedLruCache(std::size_t Capacity, int NumShards) {
 void ShardedLruCache::setInstruments(
     const obs::CacheInstruments *Aggregate,
     std::vector<obs::CacheShardInstruments> PerShard) {
-  this->Aggregate = Aggregate;
-  this->PerShard = std::move(PerShard);
+  if (Aggregate)
+    AggregateTwins = {&Aggregate->Hits, &Aggregate->Misses,
+                      &Aggregate->Evictions};
+  for (std::size_t I = 0; I < std::min(PerShard.size(), Shards.size()); ++I)
+    Shards[I]->Twins = {PerShard[I].Hits, PerShard[I].Misses,
+                        PerShard[I].Evictions};
 }
 
-void ShardedLruCache::noteHit(const Shard &S) {
-  if (Aggregate)
-    Aggregate->Hits.inc();
-  auto I = static_cast<std::size_t>(S.Id);
-  if (I < PerShard.size() && PerShard[I].Hits)
-    PerShard[I].Hits->inc();
-}
-
-void ShardedLruCache::noteMiss(const Shard &S) {
-  if (Aggregate)
-    Aggregate->Misses.inc();
-  auto I = static_cast<std::size_t>(S.Id);
-  if (I < PerShard.size() && PerShard[I].Misses)
-    PerShard[I].Misses->inc();
-}
-
-void ShardedLruCache::noteEviction(const Shard &S) {
-  if (Aggregate)
-    Aggregate->Evictions.inc();
-  auto I = static_cast<std::size_t>(S.Id);
-  if (I < PerShard.size() && PerShard[I].Evictions)
-    PerShard[I].Evictions->inc();
+void ShardedLruCache::count(const Shard &S, Event E) {
+  Counts[E].fetch_add(1, std::memory_order_relaxed);
+  for (obs::Counter *Twin : {AggregateTwins[E], S.Twins[E]})
+    if (Twin)
+      Twin->inc();
 }
 
 ShardedLruCache::Shard &ShardedLruCache::shardFor(std::uint64_t Key) {
@@ -77,13 +62,11 @@ ShardedLruCache::lookup(std::uint64_t Key,
   MutexLock Lock(S.Mu);
   auto It = S.Index.find(Key);
   if (It == S.Index.end() || It->second->second.Bytes != Bytes) {
-    Misses.fetch_add(1, std::memory_order_relaxed);
-    noteMiss(S);
+    count(S, Miss);
     return std::nullopt;
   }
   S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
-  Hits.fetch_add(1, std::memory_order_relaxed);
-  noteHit(S);
+  count(S, Hit);
   MUTK_AUDIT(shardConsistent(S),
              "cache shard index/LRU desynchronized after lookup");
   return It->second->second;
@@ -111,8 +94,7 @@ void ShardedLruCache::store(std::uint64_t Key, CachedSolution Value) {
   if (S.Lru.size() >= CapacityPerShard) {
     S.Index.erase(S.Lru.back().first);
     S.Lru.pop_back();
-    Evictions.fetch_add(1, std::memory_order_relaxed);
-    noteEviction(S);
+    count(S, Eviction);
   }
   S.Lru.emplace_front(Key, std::move(Value));
   S.Index.emplace(Key, S.Lru.begin());

@@ -24,6 +24,7 @@
 #include "support/Mutex.h"
 #include "tree/PhyloTree.h"
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <list>
@@ -87,14 +88,19 @@ public:
   void setInstruments(const obs::CacheInstruments *Aggregate,
                       std::vector<obs::CacheShardInstruments> PerShard);
 
-  std::uint64_t hits() const { return Hits.load(); }
-  std::uint64_t misses() const { return Misses.load(); }
-  std::uint64_t evictions() const { return Evictions.load(); }
+  std::uint64_t hits() const { return Counts[Hit].load(); }
+  std::uint64_t misses() const { return Counts[Miss].load(); }
+  std::uint64_t evictions() const { return Counts[Eviction].load(); }
   std::size_t size() const;
 
 private:
+  /// What the cache counts: once for itself, once in the aggregate
+  /// registry counter and once in its shard's labeled one.
+  enum Event : std::size_t { Hit, Miss, Eviction, NumEvents };
+  using EventTwins = std::array<obs::Counter *, NumEvents>;
+
   struct Shard {
-    int Id = 0;
+    EventTwins Twins{};
     mutable Mutex Mu{"service.cache.shard"};
     /// Front = most recently used.
     std::list<std::pair<std::uint64_t, CachedSolution>> Lru MUTK_GUARDED_BY(Mu);
@@ -104,9 +110,8 @@ private:
 
   Shard &shardFor(std::uint64_t Key);
 
-  void noteHit(const Shard &S);
-  void noteMiss(const Shard &S);
-  void noteEviction(const Shard &S);
+  /// Counts \p E in every scope at once.
+  void count(const Shard &S, Event E);
 
 #if MUTK_AUDIT_ENABLED
   /// Shard structural invariants, checked under the shard lock: the
@@ -115,12 +120,9 @@ private:
 #endif
 
   std::vector<std::unique_ptr<Shard>> Shards;
-  const obs::CacheInstruments *Aggregate = nullptr;
-  std::vector<obs::CacheShardInstruments> PerShard;
+  EventTwins AggregateTwins{};
   std::size_t CapacityPerShard;
-  std::atomic<std::uint64_t> Hits{0};
-  std::atomic<std::uint64_t> Misses{0};
-  std::atomic<std::uint64_t> Evictions{0};
+  std::array<std::atomic<std::uint64_t>, NumEvents> Counts{};
 };
 
 } // namespace mutk

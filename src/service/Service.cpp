@@ -214,8 +214,7 @@ void TreeService::recoverState() {
       Journal->completed(P.Id);
       continue;
     }
-    Counters.Accepted.fetch_add(1, std::memory_order_relaxed);
-    Obs.Submitted.inc();
+    Counters.Accepted.inc();
   }
   // Fresh ids must never collide with journaled ones.
   NextJobId.store(MaxId + 1, std::memory_order_relaxed);
@@ -249,6 +248,24 @@ void TreeService::journalCompleted(std::uint64_t JournalId) {
 
 TreeService::~TreeService() { stop(); }
 
+void TreeService::answerSolved(Job &&J, BuildResponse Resp) {
+  double TotalMillis =
+      std::chrono::duration<double, std::milli>(Clock::now() - J.SubmitTime)
+          .count();
+  if (Resp.ok()) {
+    Counters.Completed.inc();
+    Obs.RequestOkMillis.record(TotalMillis);
+  } else {
+    Counters.Failed.inc();
+    Obs.RequestErrorMillis.record(TotalMillis);
+    obs::log(obs::LogLevel::Debug, "service", "job answered with error")
+        .kv("error", serviceErrorName(Resp.Error))
+        .kv("total_ms", TotalMillis);
+  }
+  Counters.Latency.record(TotalMillis);
+  resolveJob(std::move(J), std::move(Resp));
+}
+
 void TreeService::resolveJob(Job &&J, BuildResponse Resp) {
   // Answered = done, whether ok or error: either way the client got a
   // response, so a restart must not re-run it.
@@ -275,8 +292,7 @@ std::future<BuildResponse> TreeService::submitAsync(BuildRequest Request) {
   std::future<BuildResponse> Future = J.Promise.get_future();
 
   auto reject = [&](ServiceError Error, std::string Message) {
-    Counters.Rejected.fetch_add(1, std::memory_order_relaxed);
-    Obs.Rejected.inc();
+    Counters.Rejected.inc();
     BuildResponse Resp;
     Resp.Error = Error;
     Resp.Message = std::move(Message);
@@ -318,11 +334,9 @@ std::future<BuildResponse> TreeService::submitAsync(BuildRequest Request) {
       qos::Verdict V = Admission.assess(J.Request, Profile, RemainingMillis);
       if (!V.Admit) {
         if (V.Error == ServiceError::RateLimited) {
-          Counters.RateLimited.fetch_add(1, std::memory_order_relaxed);
-          QosObs.RateLimited.inc();
+          Counters.RateLimited.inc();
         } else {
-          Counters.Shed.fetch_add(1, std::memory_order_relaxed);
-          QosObs.Shed.inc();
+          Counters.Shed.inc();
         }
         // Echo the prediction that justified the rejection: the client
         // can tell a hopeless deadline apart from a drained bucket.
@@ -343,16 +357,13 @@ std::future<BuildResponse> TreeService::submitAsync(BuildRequest Request) {
     }
     switch (J.Tier) {
     case QosTier::Exact:
-      Counters.TierExact.fetch_add(1, std::memory_order_relaxed);
-      QosObs.TierExact.inc();
+      Counters.TierExact.inc();
       break;
     case QosTier::Pipeline:
-      Counters.TierPipeline.fetch_add(1, std::memory_order_relaxed);
-      QosObs.TierPipeline.inc();
+      Counters.TierPipeline.inc();
       break;
     case QosTier::Heuristic:
-      Counters.TierHeuristic.fetch_add(1, std::memory_order_relaxed);
-      QosObs.TierHeuristic.inc();
+      Counters.TierHeuristic.inc();
       break;
     }
 
@@ -371,10 +382,8 @@ std::future<BuildResponse> TreeService::submitAsync(BuildRequest Request) {
       if (!A.Leader) {
         // Parked on the leader's flight: no queue slot, no journal
         // entry — the leader's resolve fans the response out.
-        Counters.Coalesced.fetch_add(1, std::memory_order_relaxed);
-        QosObs.Coalesced.inc();
-        Counters.Accepted.fetch_add(1, std::memory_order_relaxed);
-        Obs.Submitted.inc();
+        Counters.Coalesced.inc();
+        Counters.Accepted.inc();
         return std::move(A.Follower);
       }
       if (Tracked)
@@ -413,8 +422,7 @@ std::future<BuildResponse> TreeService::submitAsync(BuildRequest Request) {
     return Future;
   }
 
-  Counters.Accepted.fetch_add(1, std::memory_order_relaxed);
-  Obs.Submitted.inc();
+  Counters.Accepted.inc();
   return Future;
 }
 
@@ -460,26 +468,9 @@ std::string TreeService::statsJson() const {
     return std::string(Buf);
   };
   std::string Out = "{\"service\":{";
-  Out += "\"accepted\":" + u64(S.Accepted);
-  Out += ",\"completed\":" + u64(S.Completed);
-  Out += ",\"failed\":" + u64(S.Failed);
-  Out += ",\"rejected\":" + u64(S.Rejected);
-  Out += ",\"deadline_expired\":" + u64(S.DeadlineExpired);
-  Out += ",\"whole_hits\":" + u64(S.WholeHits);
-  Out += ",\"whole_misses\":" + u64(S.WholeMisses);
-  Out += ",\"block_hits\":" + u64(S.BlockHits);
-  Out += ",\"block_misses\":" + u64(S.BlockMisses);
-  Out += ",\"block_remote_hits\":" + u64(S.BlockRemoteHits);
-  Out += ",\"incremental_applied\":" + u64(S.IncrementalApplied);
-  Out += ",\"incremental_dirty\":" + u64(S.IncrementalDirty);
-  Out += ",\"incremental_clean\":" + u64(S.IncrementalClean);
-  Out += ",\"shed\":" + u64(S.Shed);
-  Out += ",\"rate_limited\":" + u64(S.RateLimited);
-  Out += ",\"tier_exact\":" + u64(S.TierExact);
-  Out += ",\"tier_pipeline\":" + u64(S.TierPipeline);
-  Out += ",\"tier_heuristic\":" + u64(S.TierHeuristic);
-  Out += ",\"coalesced\":" + u64(S.Coalesced);
-  Out += ",\"queue_depth\":" + u64(S.QueueDepth);
+  for (const ServiceCounterRow &Row : ServiceCounterRows)
+    Out += "\"" + std::string(Row.Key) + "\":" + u64(S.*Row.Field) + ",";
+  Out += "\"queue_depth\":" + u64(S.QueueDepth);
   Out += ",\"cache_entries\":" + u64(S.CacheEntries);
   Out += ",\"p50_ms\":" + f64(S.P50Millis);
   Out += ",\"p95_ms\":" + f64(S.P95Millis);
@@ -510,8 +501,7 @@ void TreeService::stop() {
   // one answered in the journal and fans the rejection out to any
   // followers coalesced onto it.
   for (Job &J : Queue.drain()) {
-    Counters.Rejected.fetch_add(1, std::memory_order_relaxed);
-    Obs.Rejected.inc();
+    Counters.Rejected.inc();
     BuildResponse Resp;
     Resp.Error = ServiceError::ShuttingDown;
     Resp.Message = "service stopped before the job started";
@@ -525,8 +515,7 @@ void TreeService::stop() {
     Leftover.swap(Lent);
   }
   for (auto &[Token, J] : Leftover) {
-    Counters.Rejected.fetch_add(1, std::memory_order_relaxed);
-    Obs.Rejected.inc();
+    Counters.Rejected.inc();
     BuildResponse Resp;
     Resp.Error = ServiceError::ShuttingDown;
     Resp.Message = "service stopped while the job was lent to a peer";
@@ -571,24 +560,11 @@ bool TreeService::completeLentJob(std::uint64_t Token,
     J = std::move(It->second);
     Lent.erase(It);
   }
-  double TotalMillis =
-      std::chrono::duration<double, std::milli>(Clock::now() - J.SubmitTime)
-          .count();
-  if (Response.ok()) {
-    Counters.Completed.fetch_add(1, std::memory_order_relaxed);
-    Obs.Completed.inc();
-    Obs.RequestOkMillis.record(TotalMillis);
-  } else {
-    Counters.Failed.fetch_add(1, std::memory_order_relaxed);
-    Obs.Failed.inc();
-    Obs.RequestErrorMillis.record(TotalMillis);
-  }
-  Counters.Latency.record(TotalMillis);
   // The thief solved the (possibly tier-clamped) request but knows
   // nothing of the QoS metadata; restore the echo before fan-out.
   Response.Tier = J.Tier;
   Response.PredictedMillis = J.PredictedMillis;
-  resolveJob(std::move(J), std::move(Response));
+  answerSolved(std::move(J), std::move(Response));
   return true;
 }
 
@@ -614,8 +590,7 @@ bool TreeService::reenqueueLentJob(std::uint64_t Token) {
     // ShuttingDown for both, steering clients away from a live node.
     J.JournalId = JournalId;
     J.CoalesceKey = CoalesceKey;
-    Counters.Rejected.fetch_add(1, std::memory_order_relaxed);
-    Obs.Rejected.inc();
+    Counters.Rejected.inc();
     bool Closing = Queue.closed();
     BuildResponse Resp;
     Resp.Error =
@@ -688,23 +663,7 @@ void TreeService::workerLoop() {
         QosObs.ActualMillis.record(Resp.SolveMillis);
       }
     }
-    double TotalMillis = std::chrono::duration<double, std::milli>(
-                             Clock::now() - J->SubmitTime)
-                             .count();
-    if (Resp.ok()) {
-      Counters.Completed.fetch_add(1, std::memory_order_relaxed);
-      Obs.Completed.inc();
-      Obs.RequestOkMillis.record(TotalMillis);
-    } else {
-      Counters.Failed.fetch_add(1, std::memory_order_relaxed);
-      Obs.Failed.inc();
-      Obs.RequestErrorMillis.record(TotalMillis);
-      obs::log(obs::LogLevel::Debug, "service", "job answered with error")
-          .kv("error", serviceErrorName(Resp.Error))
-          .kv("total_ms", TotalMillis);
-    }
-    Counters.Latency.record(TotalMillis);
-    resolveJob(std::move(*J), std::move(Resp));
+    answerSolved(std::move(*J), std::move(Resp));
   }
 }
 
@@ -729,8 +688,7 @@ BuildResponse TreeService::process(const Job &J) {
   Clock::time_point Deadline =
       SubmitTime + std::chrono::milliseconds(Request.DeadlineMillis);
   if (HasDeadline && Start >= Deadline) {
-    Counters.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
-    Obs.DeadlineExpired.inc();
+    Counters.DeadlineExpired.inc();
     return fail(ServiceError::DeadlineExpired,
                 "deadline elapsed while the job was queued");
   }
@@ -790,8 +748,7 @@ BuildResponse TreeService::process(const Job &J) {
     std::vector<std::uint8_t> Identity = wholeCacheBytes(Form, Request);
     std::uint64_t Key = wholeCacheKey(Form, Request);
     auto replay = [&](const CachedSolution &Hit) {
-      Counters.WholeHits.fetch_add(1, std::memory_order_relaxed);
-      Obs.WholeHits.inc();
+      Counters.WholeHits.inc();
       PhyloTree Tree = relabelLeaves(Hit.Tree, Form.Perm);
       Tree.setNames(M.names());
       // A replayed tree must be exactly as good as a fresh solve: same
@@ -818,8 +775,7 @@ BuildResponse TreeService::process(const Job &J) {
     };
     if (std::optional<CachedSolution> Hit = Cache.lookup(Key, Identity))
       return replay(*Hit);
-    Counters.WholeMisses.fetch_add(1, std::memory_order_relaxed);
-    Obs.WholeMisses.inc();
+    Counters.WholeMisses.inc();
     if (DistCache *Cluster = Remote.load(std::memory_order_acquire)) {
       if (std::optional<CachedSolution> Hit =
               Cluster->lookup(Key, Identity, CacheTier::Whole)) {
@@ -837,8 +793,7 @@ BuildResponse TreeService::process(const Job &J) {
   if (J.Tier == QosTier::Heuristic) {
     PhyloTree Tree = buildLinkageTree(M, Linkage::Maximum);
     if (HasDeadline && Clock::now() > Deadline) {
-      Counters.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
-      Obs.DeadlineExpired.inc();
+      Counters.DeadlineExpired.inc();
       return fail(ServiceError::DeadlineExpired,
                   "deadline elapsed during the heuristic solve");
     }
@@ -864,7 +819,7 @@ BuildResponse TreeService::process(const Job &J) {
     BaseMatch = Bases->bestBase(M, Options.IncrementalMaxTaxaDelta,
                                 Options.IncrementalMaxChangedEntries);
     if (BaseMatch) {
-      Inc.Applied.inc();
+      Counters.IncrementalApplied.inc();
       Inc.TaxaAdded.inc(static_cast<std::uint64_t>(BaseMatch->Delta.TaxaAdded));
       Inc.TaxaRemoved.inc(
           static_cast<std::uint64_t>(BaseMatch->Delta.TaxaRemoved));
@@ -889,14 +844,8 @@ BuildResponse TreeService::process(const Job &J) {
     Resp.TaxaAdded = BaseMatch->Delta.TaxaAdded;
     Resp.TaxaRemoved = BaseMatch->Delta.TaxaRemoved;
     Resp.EntriesChanged = BaseMatch->Delta.EntriesChanged;
-    Counters.IncrementalApplied.fetch_add(1, std::memory_order_relaxed);
-    Counters.IncrementalDirty.fetch_add(Resp.DirtyBlocks,
-                                        std::memory_order_relaxed);
-    Counters.IncrementalClean.fetch_add(Resp.CleanBlocks,
-                                        std::memory_order_relaxed);
-    obs::IncrementalInstruments &Inc = obs::incrementalInstruments();
-    Inc.DirtyBlocks.inc(Resp.DirtyBlocks);
-    Inc.CleanBlocks.inc(Resp.CleanBlocks);
+    Counters.IncrementalDirty.inc(Resp.DirtyBlocks);
+    Counters.IncrementalClean.inc(Resp.CleanBlocks);
   }
 
   if (Resp.ok() && Resp.Exact && CacheOn && Bases)
@@ -978,9 +927,7 @@ BuildResponse TreeService::solveFresh(const DistanceMatrix &M,
             BC.RemoteLookups.inc();
             Hit = Cluster->lookup(Key, Bytes, CacheTier::Block);
             if (Hit) {
-              BC.RemoteHits.inc();
-              Counters.BlockRemoteHits.fetch_add(1,
-                                                 std::memory_order_relaxed);
+              Counters.BlockRemoteHits.inc();
               // Adopt the peer's subtree so the next probe stays local.
               Cache.store(Key, *Hit);
             }
@@ -988,12 +935,10 @@ BuildResponse TreeService::solveFresh(const DistanceMatrix &M,
         }
       }
       if (!Hit) {
-        Counters.BlockMisses.fetch_add(1, std::memory_order_relaxed);
-        BC.Misses.inc();
+        Counters.BlockMisses.inc();
         return std::nullopt;
       }
-      Counters.BlockHits.fetch_add(1, std::memory_order_relaxed);
-      BC.Hits.inc();
+      Counters.BlockHits.inc();
       ++LocalBlockHits;
       BlockCacheEntry Entry;
       Entry.Tree = std::move(Hit->Tree);
@@ -1037,8 +982,7 @@ BuildResponse TreeService::solveFresh(const DistanceMatrix &M,
   PipelineResult Result = buildCompactSetTree(M, Pipeline);
 
   if (HasDeadline && Clock::now() > Deadline) {
-    Counters.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
-    Obs.DeadlineExpired.inc();
+    Counters.DeadlineExpired.inc();
     Resp.Error = ServiceError::DeadlineExpired;
     Resp.Message = "deadline elapsed during the solve";
     return Resp;
