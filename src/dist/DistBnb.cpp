@@ -85,8 +85,8 @@ std::optional<MpMutResult> mutk::dist::solveMutOverPeers(
   const int WorldSize = static_cast<int>(Slaves.size()) + 1;
   for (std::size_t I = 0; I < Slaves.size(); ++I) {
     std::string ConnectError;
-    int Fd = connectTcpTimeout(Slaves[I].Host, Slaves[I].Port,
-                               ConnectTimeoutSeconds, &ConnectError);
+    int Fd = connectTcpSocket(Slaves[I].Host, Slaves[I].Port,
+                              ConnectTimeoutSeconds, &ConnectError);
     if (Fd < 0) {
       closeAll();
       return fail("peer " + std::to_string(Slaves[I].Id) + ": " +
@@ -101,7 +101,7 @@ std::optional<MpMutResult> mutk::dist::solveMutOverPeers(
     DistFrame Open;
     Open.Verb = DistVerb::MpOpen;
     Open.Body = encodeMpSessionSpec(Spec);
-    if (!writeDistFrame(Fd, Open)) {
+    if (!writeFrame(Fd, encodeDistFrame(Open))) {
       ::close(Fd);
       closeAll();
       return fail("peer " + std::to_string(Slaves[I].Id) +

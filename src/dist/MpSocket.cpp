@@ -60,7 +60,7 @@ void SlaveSocketEndpoint::send(int Dest, int Tag,
   Frame.Verb = DistVerb::MpMsg;
   Frame.Body = encodeMpMsgBody(Rank, Dest, Tag, Payload);
   MutexLock Lock(WriteMu);
-  if (!writeDistFrame(Fd, Frame)) {
+  if (!writeFrame(Fd, encodeDistFrame(Frame))) {
     Broken.store(true, std::memory_order_release);
     return;
   }
@@ -90,9 +90,11 @@ std::optional<Message> SlaveSocketEndpoint::tryRecv() {
 Message SlaveSocketEndpoint::recv() {
   if (failed())
     return syntheticTerminate();
+  std::vector<std::uint8_t> Payload;
   DistFrame Frame;
-  FrameError E = readDistFrame(Fd, Frame);
-  if (E != FrameError::None || Frame.Verb != DistVerb::MpMsg)
+  if (readFrame(Fd, Payload) != FrameError::None ||
+      decodeDistFrame(Payload, Frame) != FrameError::None ||
+      Frame.Verb != DistVerb::MpMsg)
     return syntheticTerminate();
   int Src = -1, Dest = -1, Tag = 0;
   Message Msg;
@@ -142,12 +144,13 @@ void MasterSocketEndpoint::noteTraffic(int Tag, std::uint64_t PayloadBytes) {
   T.Bytes += PayloadBytes;
 }
 
-void MasterSocketEndpoint::writeTo(int Dest, const DistFrame &Frame) {
+void MasterSocketEndpoint::writeTo(int Dest,
+                                   const std::vector<std::uint8_t> &Payload) {
   assert(Dest >= 1 && Dest <= static_cast<int>(Links.size()) &&
          "relay destination out of range");
   Link &L = *Links[static_cast<std::size_t>(Dest - 1)];
   MutexLock Lock(L.WriteMu);
-  if (!writeDistFrame(L.Fd, Frame))
+  if (!writeFrame(L.Fd, Payload))
     L.Failed.store(true, std::memory_order_release);
 }
 
@@ -157,16 +160,15 @@ void MasterSocketEndpoint::send(int Dest, int Tag,
   Frame.Verb = DistVerb::MpMsg;
   std::uint64_t PayloadBytes = Payload.size();
   Frame.Body = encodeMpMsgBody(0, Dest, Tag, Payload);
-  writeTo(Dest, Frame);
+  writeTo(Dest, encodeDistFrame(Frame));
   noteTraffic(Tag, PayloadBytes);
 }
 
 void MasterSocketEndpoint::readerLoop(int LinkIndex) {
   Link &L = *Links[static_cast<std::size_t>(LinkIndex)];
+  std::vector<std::uint8_t> Raw;
   for (;;) {
-    DistFrame Frame;
-    FrameError E = readDistFrame(L.Fd, Frame);
-    if (E != FrameError::None) {
+    if (readFrame(L.Fd, Raw) != FrameError::None) {
       // A slave that completed its session (final Stats delivered) may
       // close before the master tears the endpoint down; that EOF is a
       // clean end, not a failed rank.
@@ -175,9 +177,11 @@ void MasterSocketEndpoint::readerLoop(int LinkIndex) {
         L.Failed.store(true, std::memory_order_release);
       return;
     }
+    DistFrame Frame;
     int Src = -1, Dest = -1, Tag = 0;
     std::vector<std::uint8_t> Payload;
-    if (Frame.Verb != DistVerb::MpMsg ||
+    if (decodeDistFrame(Raw, Frame) != FrameError::None ||
+        Frame.Verb != DistVerb::MpMsg ||
         !decodeMpMsgBody(Frame.Body, Src, Dest, Tag, Payload) ||
         Src != LinkIndex + 1 || Dest < 0 ||
         Dest > static_cast<int>(Links.size())) {
@@ -199,9 +203,9 @@ void MasterSocketEndpoint::readerLoop(int LinkIndex) {
       InboxReady.notify_one();
       continue;
     }
-    // Worker-to-worker frame: relay in arrival order, which preserves
-    // the per-(src, dest) FIFO across the two TCP hops.
-    writeTo(Dest, Frame);
+    // Worker-to-worker frame: relay its bytes in arrival order, which
+    // preserves the per-(src, dest) FIFO across the two TCP hops.
+    writeTo(Dest, Raw);
   }
 }
 

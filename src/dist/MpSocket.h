@@ -3,7 +3,8 @@
 /// \file
 /// The socket communicator: `MpEndpoint` implementations that carry the
 /// `mp/MpBnb.h` master/slave protocol across machines in `MpMsg` frames
-/// (`dist/Wire.h`), so the B&B loops run unchanged on a cluster.
+/// (`dist/Wire.h` over `service/Transport.h`), so the B&B loops run
+/// unchanged on a cluster.
 ///
 /// Topology is a star rooted at the master: the master holds one
 /// connection per slave; slaves hold exactly one connection. Frames
@@ -119,7 +120,8 @@ private:
   };
 
   void readerLoop(int LinkIndex);
-  void writeTo(int Dest, const DistFrame &Frame);
+  /// Writes one encoded `DistFrame` payload to rank \p Dest.
+  void writeTo(int Dest, const std::vector<std::uint8_t> &Payload);
   void noteTraffic(int Tag, std::uint64_t WireBytes);
 
   std::vector<std::unique_ptr<Link>> Links;

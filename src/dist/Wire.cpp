@@ -1,41 +1,13 @@
-//===- dist/Wire.cpp - Cluster wire framing with typed errors --------------===//
+//===- dist/Wire.cpp - Cluster frame codec ---------------------------------===//
 
 #include "dist/Wire.h"
 
 #include "mp/Serialize.h"
 
-#include <cerrno>
-#include <cstring>
-
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 using namespace mutk;
 using namespace mutk::dist;
-
-const char *mutk::dist::frameErrorName(FrameError Error) {
-  switch (Error) {
-  case FrameError::None:
-    return "none";
-  case FrameError::Eof:
-    return "eof";
-  case FrameError::Truncated:
-    return "truncated";
-  case FrameError::Oversized:
-    return "oversized";
-  case FrameError::BadVerb:
-    return "bad_verb";
-  case FrameError::BadPayload:
-    return "bad_payload";
-  }
-  return "?";
-}
 
 std::vector<std::uint8_t> mutk::dist::encodeDistFrame(const DistFrame &Frame) {
   ByteWriter Writer;
@@ -63,143 +35,8 @@ FrameError mutk::dist::decodeDistFrame(const std::vector<std::uint8_t> &Payload,
   return FrameError::None;
 }
 
-namespace {
-
-/// Full-buffer read. \returns 1 on success, 0 on clean EOF before the
-/// first byte, -1 on mid-buffer EOF/error (including a recv timeout).
-int readAllBytes(int Fd, std::uint8_t *Data, std::size_t Size) {
-  std::size_t Done = 0;
-  while (Done < Size) {
-    ssize_t N = ::recv(Fd, Data + Done, Size - Done, 0);
-    if (N == 0)
-      return Done == 0 ? 0 : -1;
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return Done == 0 ? -1 : -1;
-    }
-    Done += static_cast<std::size_t>(N);
-  }
-  return 1;
-}
-
-} // namespace
-
-FrameError mutk::dist::readDistFrame(int Fd, DistFrame &Out) {
-  std::uint8_t Header[4];
-  int R = readAllBytes(Fd, Header, sizeof(Header));
-  if (R == 0)
-    return FrameError::Eof;
-  if (R < 0)
-    return FrameError::Truncated;
-  std::uint32_t Size = static_cast<std::uint32_t>(Header[0]) |
-                       (static_cast<std::uint32_t>(Header[1]) << 8) |
-                       (static_cast<std::uint32_t>(Header[2]) << 16) |
-                       (static_cast<std::uint32_t>(Header[3]) << 24);
-  // Never trust the peer's length: validate before allocating.
-  if (Size > MaxFrameBytes)
-    return FrameError::Oversized;
-  if (Size < 9)
-    return FrameError::Truncated;
-  std::vector<std::uint8_t> Payload(Size);
-  if (readAllBytes(Fd, Payload.data(), Payload.size()) != 1)
-    return FrameError::Truncated;
-  return decodeDistFrame(Payload, Out);
-}
-
-bool mutk::dist::writeAllBytes(int Fd, const std::uint8_t *Data,
-                               std::size_t Size) {
-  std::size_t Done = 0;
-  while (Done < Size) {
-    ssize_t N = ::send(Fd, Data + Done, Size - Done, MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Done += static_cast<std::size_t>(N);
-  }
-  return true;
-}
-
-bool mutk::dist::writeDistFrame(int Fd, const DistFrame &Frame) {
-  std::vector<std::uint8_t> Payload = encodeDistFrame(Frame);
-  if (Payload.size() > MaxFrameBytes)
-    return false;
-  std::uint32_t Size = static_cast<std::uint32_t>(Payload.size());
-  std::uint8_t Header[4] = {
-      static_cast<std::uint8_t>(Size & 0xFF),
-      static_cast<std::uint8_t>((Size >> 8) & 0xFF),
-      static_cast<std::uint8_t>((Size >> 16) & 0xFF),
-      static_cast<std::uint8_t>((Size >> 24) & 0xFF)};
-  return writeAllBytes(Fd, Header, sizeof(Header)) &&
-         writeAllBytes(Fd, Payload.data(), Payload.size());
-}
-
 std::uint64_t mutk::dist::distFrameWireBytes(const DistFrame &Frame) {
   return 4 + 9 + static_cast<std::uint64_t>(Frame.Body.size());
-}
-
-int mutk::dist::connectTcpTimeout(const std::string &Host, int Port,
-                                  double TimeoutSeconds, std::string *Error) {
-  auto fail = [&](const std::string &Message) {
-    if (Error)
-      *Error = Message;
-    return -1;
-  };
-
-  addrinfo Hints{};
-  Hints.ai_family = AF_UNSPEC;
-  Hints.ai_socktype = SOCK_STREAM;
-  addrinfo *Results = nullptr;
-  std::string PortText = std::to_string(Port);
-  int Rc = ::getaddrinfo(Host.c_str(), PortText.c_str(), &Hints, &Results);
-  if (Rc != 0)
-    return fail("resolve " + Host + ": " + ::gai_strerror(Rc));
-
-  int Fd = -1;
-  std::string LastError = "no addresses";
-  for (addrinfo *A = Results; A; A = A->ai_next) {
-    Fd = ::socket(A->ai_family, A->ai_socktype | SOCK_CLOEXEC, A->ai_protocol);
-    if (Fd < 0) {
-      LastError = std::strerror(errno);
-      continue;
-    }
-    int Flags = ::fcntl(Fd, F_GETFL, 0);
-    ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK);
-    int C = ::connect(Fd, A->ai_addr, A->ai_addrlen);
-    if (C != 0 && errno == EINPROGRESS) {
-      pollfd P{Fd, POLLOUT, 0};
-      int Timeout = TimeoutSeconds <= 0
-                        ? -1
-                        : static_cast<int>(TimeoutSeconds * 1000.0);
-      int Ready = ::poll(&P, 1, Timeout);
-      if (Ready == 1) {
-        int SoError = 0;
-        socklen_t Len = sizeof(SoError);
-        ::getsockopt(Fd, SOL_SOCKET, SO_ERROR, &SoError, &Len);
-        C = SoError == 0 ? 0 : -1;
-        if (SoError != 0)
-          errno = SoError;
-      } else {
-        C = -1;
-        errno = Ready == 0 ? ETIMEDOUT : errno;
-      }
-    }
-    if (C == 0) {
-      ::fcntl(Fd, F_SETFL, Flags);
-      int One = 1;
-      ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-      break;
-    }
-    LastError = std::strerror(errno);
-    ::close(Fd);
-    Fd = -1;
-  }
-  ::freeaddrinfo(Results);
-  if (Fd < 0)
-    return fail("connect " + Host + ":" + PortText + ": " + LastError);
-  return Fd;
 }
 
 bool mutk::dist::setRecvTimeout(int Fd, double TimeoutSeconds) {

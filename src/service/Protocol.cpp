@@ -4,6 +4,7 @@
 
 #include "mp/Serialize.h"
 #include "service/ServiceStats.h"
+#include "service/Transport.h"
 
 #include <cassert>
 

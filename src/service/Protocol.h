@@ -2,9 +2,9 @@
 ///
 /// \file
 /// The framed request/response protocol of the tree-construction service
-/// (`mutkd`). Every message travels as one *frame*: a little-endian
-/// `u32` payload length followed by that many bytes; the first payload
-/// byte is the verb. Encoding reuses the byte codecs of `mp/Serialize.h`,
+/// (`mutkd`). Every message travels as one *frame* (`service/Transport.h`):
+/// a little-endian `u32` payload length followed by that many bytes; the
+/// first payload byte is the verb. Encoding reuses the byte codecs of `mp/Serialize.h`,
 /// so scalars are fixed-width little-endian and strings are
 /// length-prefixed.
 ///
@@ -47,10 +47,6 @@ namespace mutk {
 /// priority/tenant, response tier/predicted-cost/coalesced, the `Shed`
 /// and `RateLimited` error codes, and the stats QoS counter block.
 inline constexpr std::uint32_t ServiceProtocolVersion = 3;
-
-/// Upper bound on a frame payload; larger frames are rejected before
-/// allocation so a hostile length prefix cannot OOM the server.
-inline constexpr std::uint32_t MaxFrameBytes = 64u << 20;
 
 /// Hard protocol cap on inline-matrix size: checked before the decoder
 /// allocates the n^2 buffer, so a hostile size field cannot OOM the

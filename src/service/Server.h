@@ -1,8 +1,8 @@
 //===- service/Server.h - Socket frontend for TreeService -------*- C++ -*-===//
 ///
 /// \file
-/// The transport layer of `mutkd`: listens on a Unix-domain or TCP
-/// socket, reads length-prefixed frames, dispatches decoded requests to
+/// The client port of `mutkd`: listens on a Unix-domain or TCP socket
+/// (`service/Transport.h`), reads frames, dispatches decoded requests to
 /// a `TreeService`, and writes framed responses back. One thread per
 /// connection (connections are expected to be few and long-lived —
 /// clients pipeline requests over one socket); the worker pool behind
@@ -18,12 +18,10 @@
 #define MUTK_SERVICE_SERVER_H
 
 #include "service/Service.h"
+#include "service/Transport.h"
 #include "support/Mutex.h"
 
-#include <atomic>
 #include <string>
-#include <thread>
-#include <vector>
 
 namespace mutk {
 
@@ -37,15 +35,19 @@ public:
   SocketServer &operator=(const SocketServer &) = delete;
 
   /// Binds a Unix-domain socket at \p Path (unlinks a stale file first).
-  bool listenUnix(const std::string &Path, std::string *Error = nullptr);
+  bool listenUnix(const std::string &Path, std::string *Error = nullptr) {
+    return Listener.listenUnix(Path, Error);
+  }
 
   /// Binds a TCP socket on \p Host. \p Port 0 asks the kernel for an
   /// ephemeral port; read it back with `port()`.
   bool listenTcp(const std::string &Host, int Port,
-                 std::string *Error = nullptr);
+                 std::string *Error = nullptr) {
+    return Listener.listenTcp(Host, Port, Error);
+  }
 
   /// Bound TCP port (-1 before a successful `listenTcp`).
-  int port() const { return BoundPort; }
+  int port() const { return Listener.port(); }
 
   /// Starts the accept loop in a background thread. Call after one of
   /// the `listen*` calls succeeded.
@@ -60,37 +62,17 @@ public:
   void stop();
 
 private:
-  void acceptLoop();
   void serveConnection(int Fd);
   void requestShutdown();
 
   TreeService &Service;
-  /// Atomic: the acceptor thread reads it concurrently with `stop()`
-  /// closing the listener and writing -1.
-  std::atomic<int> ListenFd{-1};
-  int BoundPort = -1;
-  std::string UnixPath;
-  std::thread Acceptor;
-  std::vector<std::thread> Connections MUTK_GUARDED_BY(Mu);
-  /// Fds of live connections; entries are removed and closed under `Mu`
-  /// so `stop()` never shuts down a recycled descriptor.
-  std::vector<int> LiveFds MUTK_GUARDED_BY(Mu);
   Mutex Mu{"server.state"};
-  /// Serializes whole `stop()` runs (a signal thread and the main
-  /// thread may both request shutdown). Ordered before `Mu`.
-  Mutex StopMu{"server.stop"};
   CondVar ShutdownCv;
   bool ShutdownRequested MUTK_GUARDED_BY(Mu) = false;
-  std::atomic<bool> Running{false};
+  /// Last: destroyed first, so no connection thread outlives the state
+  /// above.
+  SocketListener Listener;
 };
-
-/// \name Frame transport shared by server and client.
-/// Blocking full-frame io on a connected socket; false on EOF, short
-/// io, or an oversized length prefix.
-/// @{
-bool readFrame(int Fd, std::vector<std::uint8_t> &Payload);
-bool writeFrame(int Fd, const std::vector<std::uint8_t> &Payload);
-/// @}
 
 } // namespace mutk
 
