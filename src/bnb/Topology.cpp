@@ -201,6 +201,25 @@ void Topology::insertNextAt(int Position, const DistanceMatrix &M) {
   recomputeCost();
 }
 
+bool Topology::hasMinimalHeights(const DistanceMatrix &M) const {
+  assert(Placed <= M.size() && "topology places species the matrix lacks");
+  for (const Node &N : Nodes) {
+    if (N.isLeaf())
+      continue;
+    const Node &L = node(N.Left);
+    const Node &R = node(N.Right);
+    // Max commutes with the exact halving, so this is bit-identical to
+    // the value insertion maintains.
+    double Minimal = std::max(L.Height, R.Height);
+    forEachLeaf(L.Mask, [&](int Leaf) {
+      Minimal = std::max(Minimal, halfMaxTo(M.row(Leaf), R.Mask));
+    });
+    if (N.Height != Minimal)
+      return false;
+  }
+  return true;
+}
+
 int Topology::lcaOf(int SpeciesA, int SpeciesB) const {
   assert(SpeciesA != SpeciesB && "LCA of a species with itself is its leaf");
   LeafMask Wanted = leafBit(SpeciesA) | leafBit(SpeciesB);

@@ -128,6 +128,13 @@ public:
   /// incrementally maintained values; for tests.
   bool invariantsHold(const DistanceMatrix &M, double Tolerance = 1e-9) const;
 
+  /// True when every height is exactly the minimal feasible one for
+  /// \p M: the largest of the children's heights and half of each
+  /// distance across the node. Insertion keeps heights this way, so a
+  /// topology built over \p M always passes; one with forged heights
+  /// does not. Requires `numPlaced() <= M.size()`.
+  bool hasMinimalHeights(const DistanceMatrix &M) const;
+
 private:
   std::vector<Node> Nodes;
   std::vector<std::int16_t> LeafNode; // species -> node index

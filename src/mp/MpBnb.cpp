@@ -391,8 +391,8 @@ MpMutResult mutk::runMpMaster(MpEndpoint &Self, const DistanceMatrix &M,
       NumWorkers);
 
   // Init every worker with the relabeled matrix and UB.
+  const DistanceMatrix &Relabeled = Engine.relabeledMatrix();
   {
-    const DistanceMatrix &Relabeled = Engine.relabeledMatrix();
     ByteWriter Writer;
     Writer.reserve(8 + matrixWireBytes(Relabeled));
     Writer.writeF64(Best.upperBound());
@@ -434,12 +434,18 @@ MpMutResult mutk::runMpMaster(MpEndpoint &Self, const DistanceMatrix &M,
     switch (Msg.Tag) {
     case MpTagSolution: {
       // The topology carries its own cost; the leading copy is read
-      // past. A malformed solution is ignored.
+      // past. Only a tree over all n species whose every height is the
+      // minimal one for the master's own matrix is offered.
       ByteReader Reader(Msg.Payload);
       double Cost;
       std::optional<Topology> T;
-      if (Reader.readF64(Cost) && readTopology(Reader, T) &&
-          Reader.atEnd() && Best.offer(*T)) {
+      if (!Reader.readF64(Cost) || !readTopology(Reader, T) ||
+          !Reader.atEnd() || T->numPlaced() != Relabeled.size() ||
+          !T->hasMinimalHeights(Relabeled)) {
+        abandon();
+        break;
+      }
+      if (Best.offer(*T)) {
         ++Stats.UbUpdates;
         ByteWriter Writer;
         Writer.writeF64(Best.upperBound());

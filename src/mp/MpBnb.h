@@ -47,11 +47,13 @@
 /// StealReply, a tag no master sends — ends its session the way a
 /// broken link does: the slave sends its Stats and returns. The master
 /// cannot skip a malformed slave payload (a dropped Donation loses a
-/// subtree), so a Donation that is not one topology, a StealGrant that
-/// does not name a slave rank, a short WorkRequest or a tag no slave
-/// sends ends the solve: the master stops dealing, broadcasts
-/// Terminate, collects every Stats message and returns its incumbent
-/// with `Stats.Complete = false`.
+/// subtree, a forged Solution would become the answer), so a Donation
+/// that is not one topology, a Solution that is not a tree over all n
+/// species with exactly the minimal heights of the master's relabeled
+/// matrix, a StealGrant that does not name a slave rank, a short
+/// WorkRequest or a tag no slave sends ends the solve: the master stops
+/// dealing, broadcasts Terminate, collects every Stats message and
+/// returns its incumbent with `Stats.Complete = false`.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <string>
 #include <thread>
@@ -403,8 +404,9 @@ TEST(MpBnb, SlaveEndsSessionOnMalformedPayload) {
 
 // The master reads payloads from slaves it does not control either. A
 // malformed one ends the solve — skipping a Donation could lose a
-// subtree — so every slave is terminated and the incumbent comes back
-// marked incomplete.
+// subtree, and a forged Solution would be returned as the answer — so
+// every slave is terminated and the incumbent comes back marked
+// incomplete.
 TEST(MpBnb, MasterEndsSolveOnMalformedSlavePayload) {
   const DistanceMatrix M = uniformRandomMetric(9, 4);
   const double Optimum = solveMutSequential(M).Cost;
@@ -413,18 +415,51 @@ TEST(MpBnb, MasterEndsSolveOnMalformedSlavePayload) {
     Writer.writeU32(V);
     return Writer.take();
   };
+  auto solution = [](const Topology &T) {
+    ByteWriter Writer;
+    Writer.writeF64(T.cost());
+    writeTopology(Writer, T);
+    return Writer.take();
+  };
+  // Over the relabeled matrix the master sends in Init: a topology of
+  // the first three species, and a complete one whose heights are a
+  // tenth of the minimal ones (still monotone, so it decodes).
+  auto partial = [&](const DistanceMatrix &Relabeled) {
+    return solution(
+        Topology::initialPair(Relabeled).withNextSpeciesAt(0, Relabeled));
+  };
+  auto shrunk = [&](const DistanceMatrix &Relabeled) {
+    Topology T = Topology::initialPair(Relabeled);
+    while (T.numPlaced() < Relabeled.size())
+      T = T.withNextSpeciesAt(0, Relabeled);
+    std::vector<Topology::Node> Nodes;
+    for (int I = 0; I < T.numNodes(); ++I) {
+      Nodes.push_back(T.node(I));
+      Nodes.back().Height /= 10;
+    }
+    std::optional<Topology> Forged =
+        Topology::fromNodes(std::move(Nodes), T.rootIndex());
+    EXPECT_TRUE(Forged.has_value());
+    return solution(*Forged);
+  };
+  auto fixed = [](std::vector<std::uint8_t> Payload) {
+    return [Payload](const DistanceMatrix &) { return Payload; };
+  };
   struct Case {
     std::string Name;
     int Tag;
-    std::vector<std::uint8_t> Payload;
+    /// Builds the payload from the matrix the master sent in Init.
+    std::function<std::vector<std::uint8_t>(const DistanceMatrix &)> Payload;
   };
   const std::vector<Case> Cases = {
       {"StealGrant naming thief 0xfffffff0", MpTagStealGrant,
-       u32(0xFFFFFFF0u)},
-      {"StealGrant naming the master", MpTagStealGrant, u32(0)},
-      {"3-byte Donation", MpTagDonation, {1, 2, 3}},
-      {"short WorkRequest", MpTagWorkRequest, {1, 2}},
-      {"unknown tag", 99, {}},
+       fixed(u32(0xFFFFFFF0u))},
+      {"StealGrant naming the master", MpTagStealGrant, fixed(u32(0))},
+      {"3-byte Donation", MpTagDonation, fixed({1, 2, 3})},
+      {"short WorkRequest", MpTagWorkRequest, fixed({1, 2})},
+      {"unknown tag", 99, fixed({})},
+      {"Solution over 3 of 9 species", MpTagSolution, partial},
+      {"Solution with a tenth of the minimal heights", MpTagSolution, shrunk},
   };
   for (const Case &C : Cases) {
     Communicator World(2);
@@ -436,8 +471,15 @@ TEST(MpBnb, MasterEndsSolveOnMalformedSlavePayload) {
     // A fake rank 1: take Init, answer with the malformed frame, then
     // expect no more dealing — only the Terminate that ends the solve.
     Communicator::Endpoint Slave = World.endpoint(1);
-    EXPECT_EQ(Slave.recv().Tag, MpTagInit) << C.Name;
-    Slave.send(0, C.Tag, C.Payload);
+    Message Init = Slave.recv();
+    EXPECT_EQ(Init.Tag, MpTagInit) << C.Name;
+    ByteReader Reader(Init.Payload);
+    double InitialBound = 0;
+    DistanceMatrix Relabeled;
+    ASSERT_TRUE(Reader.readF64(InitialBound) &&
+                readMatrix(Reader, Relabeled, MaxBnbSpecies))
+        << C.Name;
+    Slave.send(0, C.Tag, C.Payload(Relabeled));
     for (;;) {
       Message Msg = Slave.recv();
       if (Msg.Tag == MpTagTerminate)
