@@ -8,6 +8,29 @@
 
 using namespace mutk;
 
+persist::DurableCacheRecord mutk::toDurableRecord(std::uint64_t Key,
+                                                  CachedSolution Value) {
+  persist::DurableCacheRecord Rec;
+  Rec.Key = Key;
+  Rec.CanonicalBytes = std::move(Value.Bytes);
+  Rec.Tree = std::move(Value.Tree);
+  Rec.Cost = Value.Cost;
+  Rec.Exact = Value.Exact;
+  Rec.Space = Value.Block ? persist::CacheNamespace::Block
+                          : persist::CacheNamespace::Whole;
+  return Rec;
+}
+
+CachedSolution mutk::fromDurableRecord(persist::DurableCacheRecord Rec) {
+  CachedSolution Value;
+  Value.Tree = std::move(Rec.Tree);
+  Value.Cost = Rec.Cost;
+  Value.Exact = Rec.Exact;
+  Value.Block = Rec.Space == persist::CacheNamespace::Block;
+  Value.Bytes = std::move(Rec.CanonicalBytes);
+  return Value;
+}
+
 #if MUTK_AUDIT_ENABLED
 bool ShardedLruCache::shardConsistent(const Shard &S) const {
   if (S.Index.size() != S.Lru.size() || S.Lru.size() > CapacityPerShard)

@@ -20,6 +20,7 @@
 #define MUTK_SERVICE_RESULTCACHE_H
 
 #include "obs/Instruments.h"
+#include "persist/CacheStore.h"
 #include "support/Audit.h"
 #include "support/Mutex.h"
 #include "tree/PhyloTree.h"
@@ -49,6 +50,16 @@ struct CachedSolution {
   bool Block = false;
   std::vector<std::uint8_t> Bytes;
 };
+
+/// \name The durable record of a cache entry (`persist/CacheStore.h`).
+/// Its encoding, `persist::encodeCacheRecord`, is also the body of the
+/// cluster's `CacheHit` and `CacheInsert` frames.
+/// @{
+persist::DurableCacheRecord toDurableRecord(std::uint64_t Key,
+                                            CachedSolution Value);
+/// The entry \p Rec holds; its key is `Rec.Key`.
+CachedSolution fromDurableRecord(persist::DurableCacheRecord Rec);
+/// @}
 
 /// Sharded LRU map `fingerprint -> CachedSolution`, safe for concurrent
 /// lookup/store from any number of threads.

@@ -591,7 +591,8 @@ TEST(ByteCodec, FrameEndingInEmptyStringDecodes) {
 }
 
 //===----------------------------------------------------------------------===//
-// Shard-cache entries (CacheHit / CacheInsert bodies)
+// Shard-cache entries (CacheHit / CacheInsert bodies: the durable cache
+// record encoding)
 //===----------------------------------------------------------------------===//
 
 TEST(CacheEntryCodec, RandomRoundTrips) {
@@ -610,14 +611,16 @@ TEST(CacheEntryCodec, RandomRoundTrips) {
     Value.Bytes = randomBytes(R, 200);
     std::uint64_t Key = R.next();
 
-    auto Back = dist::decodeCacheEntry(dist::encodeCacheEntry(Key, Value));
-    ASSERT_TRUE(Back.has_value()) << "seed " << Seed;
-    EXPECT_EQ(Back->first, Key);
-    EXPECT_DOUBLE_EQ(Back->second.Cost, Value.Cost);
-    EXPECT_EQ(Back->second.Exact, Value.Exact);
-    EXPECT_EQ(Back->second.Block, Value.Block);
-    EXPECT_EQ(Back->second.Bytes, Value.Bytes);
-    expectTreeEq(Back->second.Tree, Value.Tree);
+    std::optional<persist::DurableCacheRecord> Rec = persist::decodeCacheRecord(
+        persist::encodeCacheRecord(toDurableRecord(Key, Value)));
+    ASSERT_TRUE(Rec.has_value()) << "seed " << Seed;
+    EXPECT_EQ(Rec->Key, Key);
+    CachedSolution Back = fromDurableRecord(std::move(*Rec));
+    EXPECT_DOUBLE_EQ(Back.Cost, Value.Cost);
+    EXPECT_EQ(Back.Exact, Value.Exact);
+    EXPECT_EQ(Back.Block, Value.Block);
+    EXPECT_EQ(Back.Bytes, Value.Bytes);
+    expectTreeEq(Back.Tree, Value.Tree);
   }
 }
 
@@ -629,18 +632,19 @@ TEST(CacheEntryCodec, CorruptionIsRejectedOrHarmless) {
   Value.Cost = Solved.Cost;
   Value.Exact = true;
   Value.Bytes = randomBytes(R, 64);
-  std::vector<std::uint8_t> Bytes = dist::encodeCacheEntry(99, Value);
+  std::vector<std::uint8_t> Bytes =
+      persist::encodeCacheRecord(toDurableRecord(99, Value));
   for (std::size_t Len = 0; Len < Bytes.size(); ++Len) {
     std::vector<std::uint8_t> Prefix(Bytes.begin(),
                                      Bytes.begin() +
                                          static_cast<std::ptrdiff_t>(Len));
-    EXPECT_FALSE(dist::decodeCacheEntry(Prefix).has_value())
+    EXPECT_FALSE(persist::decodeCacheRecord(Prefix).has_value())
         << "strict prefix of length " << Len << " decoded";
   }
   for (std::size_t I = 0; I < Bytes.size(); ++I) {
     std::vector<std::uint8_t> Mutated = Bytes;
     Mutated[I] ^= 0xA5;
-    (void)dist::decodeCacheEntry(Mutated);
+    (void)persist::decodeCacheRecord(Mutated);
   }
 }
 
