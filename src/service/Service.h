@@ -112,11 +112,6 @@ struct ServiceOptions {
   /// default: the index copies whole matrices, which only pays for
   /// workloads that actually resubmit perturbations.
   bool Incremental = false;
-  /// A base qualifies only when `TaxaAdded + TaxaRemoved` stays within
-  /// this bound...
-  int IncrementalMaxTaxaDelta = 2;
-  /// ...and at most this many common-taxon distances changed.
-  int IncrementalMaxChangedEntries = 8;
   /// Solved matrices remembered for diffing (LRU; each holds O(n^2)
   /// doubles, so keep this small).
   std::size_t IncrementalBases = 32;
@@ -163,8 +158,6 @@ struct ServiceOptions {
   /// Coalesce identical in-flight requests onto one leader solve (only
   /// consulted when `Qos.Enabled`).
   bool QosCoalesce = true;
-  /// Dry-run difficulty profiles memoized by canonical fingerprint.
-  std::size_t QosProfileMemoCapacity = 256;
 
   /// @}
 };
