@@ -7,9 +7,12 @@
 #include "heur/NniSearch.h"
 #include "heur/Upgma.h"
 #include "matrix/MetricUtils.h"
+#include "support/Audit.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdint>
 
 using namespace mutk;
 
@@ -101,46 +104,60 @@ void BnbEngine::branch(const Topology &T, double UpperBound, BnbStats &Stats,
   const int Positions = T.numNodes();
   Children.clear();
   Children.reserve(static_cast<std::size_t>(Positions));
-  // The 3-3 filter runs before the bound check when it is cheap (None is
-  // a no-op; ThirdSpecies touches only the insertion of species 2) and
+  const InsertionPrices Prices(T, Relabeled);
+  const double Rest = Remainder[static_cast<std::size_t>(T.numPlaced()) + 1];
+  // The 3-3 filter runs before the bound check when it is cheap and
   // after it when it is O(k^2) per child (AllInsertions); see the
-  // precedence note on ThreeThreeMode.
+  // precedence note on ThreeThreeMode. None never rejects, and
+  // ThirdSpecies looks only at the insertion of species 2, whose three
+  // children are therefore built before they are bounded.
   const bool ThreeThreeFirst =
-      Opts.ThreeThree != ThreeThreeMode::AllInsertions;
+      Opts.ThreeThree == ThreeThreeMode::ThirdSpecies && T.numPlaced() == 2;
+  const bool ThreeThreeLast = Opts.ThreeThree == ThreeThreeMode::AllInsertions;
+  // The floor never exceeds the exact cost and the cut is monotone, so a
+  // floor that reaches the cut prunes the child without the re-sum.
+  auto priceCuts = [&](int Position, double &Cost) {
+    if (boundCuts(Prices.costFloor(Position) + Rest, UpperBound))
+      return true;
+    Cost = Prices.cost(Position);
+    return boundCuts(Cost + Rest, UpperBound);
+  };
+  // Every position is one generated child whose bound is evaluated once,
+  // priced before the child exists; the cached value feeds the guard, the
+  // sort and the caller.
+  Stats.Generated += static_cast<std::uint64_t>(Positions);
+  Stats.BoundEvals += static_cast<std::uint64_t>(Positions);
+  std::uint64_t CutByBound = 0;
+  std::uint64_t CutByThreeThree = 0;
   // Positions 0..numNodes()-1 cover every edge once (the root position is
   // the above-root insertion).
   for (int Position = 0; Position < Positions; ++Position) {
-    BranchedChild Child;
-    if (Arena)
-      Child.Node = Arena->acquire();
+    double Cost = 0.0;
+    const bool Cut = priceCuts(Position, Cost);
+    if (Cut && !ThreeThreeFirst) {
+      ++CutByBound;
+      continue;
+    }
+    BranchedChild Child{Arena ? Arena->acquire() : Topology(), Cost + Rest};
     T.expandInto(Position, Relabeled, Child.Node);
-    ++Stats.Generated;
-    // The bound is O(1) and evaluated exactly once per generated child;
-    // the cached value feeds the guard, the sort, and the caller.
-    Child.LowerBound = lowerBound(Child.Node);
-    ++Stats.BoundEvals;
-    if (ThreeThreeFirst && !threeThreeAllows(Child.Node)) {
-      ++Stats.PrunedByThreeThree;
-      if (Arena)
-        Arena->release(std::move(Child.Node));
+    MUTK_AUDIT(Cut || std::bit_cast<std::uint64_t>(Child.Node.cost()) ==
+                          std::bit_cast<std::uint64_t>(Cost),
+               "priced cost differs from the built child's");
+    if (ThreeThreeFirst && !threeThreeAllows(Child.Node))
+      ++CutByThreeThree;
+    else if (Cut)
+      ++CutByBound;
+    else if (ThreeThreeLast && !threeThreeAllows(Child.Node))
+      ++CutByThreeThree;
+    else {
+      Children.push_back(std::move(Child));
       continue;
     }
-    if (Child.LowerBound >= UpperBound - Opts.Epsilon &&
-        !(Opts.CollectAllOptimal &&
-          Child.LowerBound <= UpperBound + Opts.Epsilon)) {
-      ++Stats.PrunedByBound;
-      if (Arena)
-        Arena->release(std::move(Child.Node));
-      continue;
-    }
-    if (!ThreeThreeFirst && !threeThreeAllows(Child.Node)) {
-      ++Stats.PrunedByThreeThree;
-      if (Arena)
-        Arena->release(std::move(Child.Node));
-      continue;
-    }
-    Children.push_back(std::move(Child));
+    if (Arena)
+      Arena->release(std::move(Child.Node));
   }
+  Stats.PrunedByBound += CutByBound;
+  Stats.PrunedByThreeThree += CutByThreeThree;
   std::sort(Children.begin(), Children.end(),
             [](const BranchedChild &A, const BranchedChild &B) {
               return A.LowerBound < B.LowerBound;

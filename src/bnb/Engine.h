@@ -62,23 +62,36 @@ public:
     return T.cost() + Remainder[static_cast<std::size_t>(T.numPlaced())];
   }
 
+  /// True when a node whose lower bound is \p Lb can no longer win against
+  /// \p Ub: \p Lb reaches `Ub - Epsilon`, unless `CollectAllOptimal` keeps
+  /// a tie within `Epsilon`. Monotone: any bound above a cut one is cut.
+  bool boundCuts(double Lb, double Ub) const {
+    return Lb >= Ub - Opts.Epsilon &&
+           !(Opts.CollectAllOptimal && Lb <= Ub + Opts.Epsilon);
+  }
+
   /// True if every species has been placed.
   bool isComplete(const Topology &T) const {
     return T.numPlaced() == numSpecies();
   }
 
-  /// Expands \p T: inserts the next species at every position, applies
-  /// the 3-3 filter per `options().ThreeThree`, drops children whose
-  /// lower bound reaches \p UpperBound, and fills \p Children with the
-  /// survivors sorted by ascending cached lower bound (best-first).
-  /// \p Children is cleared first; reusing one vector across calls keeps
-  /// its capacity and makes the expansion allocation-free.
+  /// Expands \p T: prices the insertion of the next species at every
+  /// position from one `InsertionPrices` pass over \p T, drops the
+  /// children whose lower bound is cut by \p UpperBound (`boundCuts`)
+  /// and the ones the 3-3 filter rejects per `options().ThreeThree`, and
+  /// fills \p Children with the survivors sorted by ascending cached
+  /// lower bound (best-first). Only survivors are built (`expandInto`),
+  /// plus, under `ThirdSpecies`, the three children of species 2, which
+  /// the filter examines before the bound. \p Children is cleared first;
+  /// reusing one vector across calls keeps its capacity and makes the
+  /// expansion allocation-free.
   ///
   /// Each generated child's lower bound is evaluated exactly once
-  /// (`Stats.BoundEvals`) and cached in the `BranchedChild`. Pruning
-  /// attribution follows the precedence documented on `ThreeThreeMode`.
+  /// (`Stats.BoundEvals`), bit-identical to `lowerBound` of the built
+  /// child, and cached in the `BranchedChild`. Pruning attribution
+  /// follows the precedence documented on `ThreeThreeMode`.
   ///
-  /// When \p Arena is non-null, child topologies are drawn from it and
+  /// When \p Arena is non-null, built children are drawn from it and
   /// pruned ones are returned to it; callers should release consumed
   /// survivors back to the same arena.
   ///

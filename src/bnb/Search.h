@@ -91,10 +91,7 @@ bool searchStep(const BnbEngine &Engine, Topology &&Node, double Ub,
                 BnbStats &Stats, TopologyArena &Arena,
                 std::vector<BranchedChild> &Children, ChildOrder Order,
                 OnSolution &&Solution, OnChild &&Push) {
-  const BnbOptions &Options = Engine.options();
-  const double Lb = Engine.lowerBound(Node);
-  if (Lb >= Ub - Options.Epsilon &&
-      !(Options.CollectAllOptimal && Lb <= Ub + Options.Epsilon)) {
+  if (Engine.boundCuts(Engine.lowerBound(Node), Ub)) {
     ++Stats.PrunedByBound;
     Arena.release(std::move(Node));
     return false;

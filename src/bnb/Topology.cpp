@@ -201,6 +201,89 @@ void Topology::insertNextAt(int Position, const DistanceMatrix &M) {
   recomputeCost();
 }
 
+InsertionPrices::InsertionPrices(const Topology &Parent,
+                                 const DistanceMatrix &M)
+    : Parent(Parent), Count(Parent.numNodes()), Root(Parent.rootIndex()) {
+  assert(Parent.numPlaced() < M.size() && "all species already placed");
+  const double *Row = M.row(Parent.numPlaced());
+
+  // The largest distance from the new species into each subtree, from
+  // +0.0 as `halfMaxTo` starts. Every value is +0.0 or positive, so the
+  // max does not depend on the order leaves are met in and `Far[V] / 2.0`
+  // has `halfMaxTo`'s bits. `Raised` takes `insertNextAt`'s argument
+  // order: an equal half keeps h(v), sign of zero included.
+  double Far[MaxNodes];
+  for (int S = 0; S < Parent.numPlaced(); ++S) {
+    const int Leaf = Parent.leafNodeOf(S);
+    Far[Leaf] = std::max(0.0, Row[S]);
+    Raised[Leaf] = std::max(Parent.node(Leaf).Height, Far[Leaf] / 2.0);
+  }
+
+  // The internal nodes breadth-first from the root, so every parent
+  // precedes its children.
+  std::int16_t Order[MaxBnbSpecies];
+  int Ordered = 0;
+  Order[Ordered++] = static_cast<std::int16_t>(Root);
+  for (int I = 0; I < Ordered; ++I) {
+    const Topology::Node &N = Parent.node(Order[I]);
+    Order[Ordered] = N.Left;
+    Ordered += !Parent.node(N.Left).isLeaf();
+    Order[Ordered] = N.Right;
+    Ordered += !Parent.node(N.Right).isLeaf();
+  }
+
+  // Children before parents.
+  for (int I = Ordered - 1; I >= 0; --I) {
+    const int V = Order[I];
+    const Topology::Node &N = Parent.node(V);
+    Far[V] = std::max(Far[N.Left], Far[N.Right]);
+    Raised[V] = std::max(N.Height, Far[V] / 2.0);
+  }
+
+  // A child inherits its parent's first raised ancestor, or the parent
+  // itself when that is raised and has a lower index. `Raised` is h(v)
+  // itself unless the half is strictly greater.
+  FirstRaised[Root] = static_cast<std::int16_t>(Count);
+  for (int I = 0; I < Ordered; ++I) {
+    const int V = Order[I];
+    const Topology::Node &N = Parent.node(V);
+    std::int16_t First = FirstRaised[V];
+    if (Raised[V] != N.Height && V < First)
+      First = static_cast<std::int16_t>(V);
+    FirstRaised[N.Left] = First;
+    FirstRaised[N.Right] = First;
+  }
+
+  double Sum = 0.0;
+  for (int I = 0; I < Count; ++I) {
+    Prefix[I] = Sum;
+    if (!Parent.node(I).isLeaf())
+      Sum += Parent.node(I).Height;
+  }
+  Prefix[Count] = Sum;
+}
+
+double InsertionPrices::cost(int Position) const {
+  assert(Position >= 0 && Position < Count && "bad insert position");
+  // The child keeps the parent's node order and appends the new leaf and
+  // the new internal node, so `recomputeCost` adds the parent's internal
+  // heights (raised on the path) in index order, then the new node's, then
+  // the root's. Nodes below the first raised ancestor add what they add
+  // in the parent. The strict ancestors are the nodes whose masks strictly
+  // contain the position's, because the masks are laminar.
+  const int From = FirstRaised[Position];
+  const LeafMask Below = Parent.node(Position).Mask;
+  double Sum = Prefix[From];
+  for (int I = From; I < Count; ++I) {
+    const Topology::Node &N = Parent.node(I);
+    if (N.isLeaf())
+      continue;
+    const bool Above = (N.Mask & Below) == Below && N.Mask != Below;
+    Sum += Above ? Raised[I] : N.Height;
+  }
+  return (Sum + Raised[Position]) + Raised[Root];
+}
+
 bool Topology::hasMinimalHeights(const DistanceMatrix &M) const {
   assert(Placed <= M.size() && "topology places species the matrix lacks");
   for (const Node &N : Nodes) {

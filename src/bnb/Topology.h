@@ -5,9 +5,11 @@
 /// over the first `k` species of the (maxmin-relabeled) matrix, carrying
 /// the minimal feasible ultrametric heights. Branching inserts species `k`
 /// on each of the `2k - 1` edges (every edge plus "above the root" —
-/// Algorithm BBU's branching rule); heights and the tree weight are
-/// maintained incrementally in O(k) per insertion using per-node leaf
-/// bitmasks.
+/// Algorithm BBU's branching rule). `InsertionPrices` prices all of them
+/// from one O(k) pass over the parent, so the B&B builds only the
+/// children that survive the bound; building one copies the parent and
+/// updates the heights and the tree weight along the inserted leaf's
+/// path, using per-node leaf bitmasks.
 ///
 /// The bitmask representation caps a single exact solve at 64 species,
 /// far beyond branch-and-bound reach (the paper's record is 38).
@@ -33,8 +35,8 @@ inline constexpr int MaxBnbSpecies = 64;
 /// A partial ultrametric-tree topology over species `0..k-1` with minimal
 /// feasible heights for a fixed distance matrix.
 ///
-/// Copies are cheap (one vector of PODs); the B&B duplicates a topology
-/// for every branching position.
+/// Copies are cheap (one vector of PODs); the B&B copies a topology only
+/// for the branching positions whose priced bound survives.
 class Topology {
 public:
   /// One tree node. Leaves have `Leaf >= 0`; heights are minimal feasible.
@@ -151,6 +153,48 @@ private:
   void insertNextAt(int Position, const DistanceMatrix &M);
 
   void recomputeCost();
+};
+
+/// The cost of every child of one parent, priced without building it:
+/// one O(k) pass over \p Parent serves all `2k - 1` insertion positions
+/// of species `k` (docs/ALGORITHMS.md, section 1).
+///
+/// `cost(P)` is bit-identical to the `cost()` of the child that
+/// `Parent.expandInto(P, M, Child)` builds; `costFloor(P)` is never above
+/// it. Holds fixed-size arrays and allocates nothing, so `BnbEngine::
+/// branch` keeps one per call on its stack; the constructor writes every
+/// entry of nodes `0..numNodes()-1` before anything reads it. \p Parent
+/// must outlive it.
+class InsertionPrices {
+public:
+  /// Requires `Parent.numPlaced() < M.size()`.
+  InsertionPrices(const Topology &Parent, const DistanceMatrix &M);
+
+  /// A lower estimate of `cost(Position)` in two additions: the parent's
+  /// internal heights, unraised, plus the two heights every child has.
+  double costFloor(int Position) const {
+    return (Prefix[Count] + Raised[Position]) + Raised[Root];
+  }
+
+  /// The child's exact cost, summed in the order `Topology` sums it.
+  double cost(int Position) const;
+
+private:
+  static constexpr int MaxNodes = 2 * MaxBnbSpecies - 1;
+
+  const Topology &Parent;
+  int Count;
+  int Root;
+  /// The height node `v` takes when the new species lands anywhere below
+  /// it: `max(h(v), max over leaves j of v of M[k,j] / 2)`. The new
+  /// internal node above `v` takes it too.
+  double Raised[MaxNodes];
+  /// `Prefix[i]`: the parent's internal heights of nodes `0..i-1`, summed
+  /// in index order from 0.
+  double Prefix[MaxNodes + 1];
+  /// The lowest-index strict ancestor of each node whose height the
+  /// insertion raises, or `Count` when it raises none.
+  std::int16_t FirstRaised[MaxNodes];
 };
 
 } // namespace mutk
