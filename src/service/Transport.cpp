@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <arpa/inet.h>
+#include <cassert>
 #include <cerrno>
 #include <cstring>
 #include <fcntl.h>
@@ -256,13 +257,29 @@ void SocketListener::acceptLoop() {
     }
     if (Tcp)
       setNoDelay(Fd);
-    MutexLock Lock(Mu);
-    if (!Accepting) {
-      ::close(Fd);
-      return;
+    std::vector<std::thread> Done;
+    {
+      MutexLock Lock(Mu);
+      if (!Accepting) {
+        ::close(Fd);
+        return;
+      }
+      for (std::thread::id Id : Finished) {
+        auto It = std::find_if(
+            Connections.begin(), Connections.end(),
+            [Id](const std::thread &T) { return T.get_id() == Id; });
+        assert(It != Connections.end() && "finished thread not registered");
+        Done.push_back(std::move(*It));
+        Connections.erase(It);
+      }
+      Finished.clear();
+      LiveFds.push_back(Fd);
+      Connections.emplace_back([this, Fd] { serve(Fd); });
     }
-    LiveFds.push_back(Fd);
-    Connections.emplace_back([this, Fd] { serve(Fd); });
+    // Each of these threads has only its return left; join it outside
+    // `listener.state`.
+    for (std::thread &T : Done)
+      T.join();
   }
 }
 
@@ -272,6 +289,7 @@ void SocketListener::serve(int Fd) {
   LiveFds.erase(std::remove(LiveFds.begin(), LiveFds.end(), Fd),
                 LiveFds.end());
   ::close(Fd);
+  Finished.push_back(std::this_thread::get_id());
 }
 
 void SocketListener::stop() {
@@ -300,6 +318,11 @@ void SocketListener::stop() {
   }
   for (std::thread &T : Live)
     T.join();
+  {
+    // Every thread that could report itself finished is joined.
+    MutexLock Lock(Mu);
+    Finished.clear();
+  }
   if (!UnixPath.empty()) {
     ::unlink(UnixPath.c_str());
     UnixPath.clear();

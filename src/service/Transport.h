@@ -67,9 +67,11 @@ FrameError readFrame(int Fd, std::vector<std::uint8_t> &Payload);
 bool writeFrame(int Fd, const std::vector<std::uint8_t> &Payload);
 
 /// Accepts connections on one Unix-domain or TCP socket and runs a
-/// handler for each on a thread of its own (connections are expected
-/// to be few and long-lived). Keeps a registry of live connections so
-/// `stop()` never waits for an idle client.
+/// handler for each on a thread of its own. Keeps a registry of live
+/// connections so `stop()` never waits for an idle client. Each accept
+/// joins the connection threads that have finished since the last one,
+/// so a long-lived listener holds threads only for its live connections
+/// and the ones that ended after the latest accept.
 class SocketListener {
 public:
   /// Serves one accepted connection and returns when done with it; the
@@ -104,6 +106,12 @@ public:
   /// calls it.
   void stop();
 
+  /// Connection threads not joined yet, finished or not.
+  std::size_t connectionThreads() {
+    MutexLock Lock(Mu);
+    return Connections.size();
+  }
+
 private:
   void acceptLoop();
   void serve(int Fd);
@@ -123,6 +131,9 @@ private:
   /// so `stop()` never shuts down a recycled descriptor.
   std::vector<int> LiveFds MUTK_GUARDED_BY(Mu);
   std::vector<std::thread> Connections MUTK_GUARDED_BY(Mu);
+  /// Connection threads whose handler has returned; the next accept
+  /// joins them.
+  std::vector<std::thread::id> Finished MUTK_GUARDED_BY(Mu);
   std::thread Acceptor;
 };
 

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -1009,6 +1010,41 @@ TEST(SocketServer, FramingErrorsDropOnlyThatConnection) {
   EXPECT_TRUE(Client.ping(&Error)) << Error;
   Server.stop();
   Service.stop();
+}
+
+// Each accept joins the connection threads that finished before it, so a
+// daemon that serves one connection per request does not keep a finished
+// thread per request until it stops.
+TEST(SocketListener, AcceptJoinsFinishedConnectionThreads) {
+  SocketListener Listener;
+  std::string Path = testing::TempDir() + "mutk_reap_test.sock";
+  std::string Error;
+  ASSERT_TRUE(Listener.listenUnix(Path, &Error)) << Error;
+  std::atomic<int> Served{0};
+  Listener.start([&Served](int Fd) {
+    char Byte;
+    while (::recv(Fd, &Byte, 1, 0) > 0) {
+    }
+    Served.fetch_add(1);
+  });
+  constexpr int Connections = 64;
+  for (int I = 1; I <= Connections; ++I) {
+    int Fd = connectUnixSocket(Path, &Error);
+    ASSERT_GE(Fd, 0) << Error;
+    ::close(Fd);
+    // One connection after another: the next opens once this handler is
+    // done.
+    const auto Deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (Served.load() < I && std::chrono::steady_clock::now() < Deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(Served.load(), I);
+  }
+  // The last connection's thread, plus at worst a few that had not yet
+  // marked themselves finished when the accept after them ran.
+  EXPECT_LE(Listener.connectionThreads(), 4u);
+  Listener.stop();
+  EXPECT_EQ(Listener.connectionThreads(), 0u);
 }
 
 TEST(SocketServer, UnixSocketEndToEnd) {
