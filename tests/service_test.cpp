@@ -11,12 +11,14 @@
 #include "compact/CompactSetPipeline.h"
 #include "matrix/Fingerprint.h"
 #include "matrix/Generators.h"
+#include "matrix/MatrixIO.h"
 #include "obs/Metrics.h"
 #include "service/Client.h"
 #include "service/ResultCache.h"
 #include "service/Server.h"
 #include "service/Service.h"
 #include "service/ServiceStats.h"
+#include "support/Rng.h"
 #include "tree/Newick.h"
 
 #include <gtest/gtest.h>
@@ -31,6 +33,7 @@
 #include <iterator>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -130,6 +133,286 @@ TEST(Fingerprint, PermutationMapsToCanonicalOrder) {
   CanonicalForm Again = canonicalForm(Canon);
   EXPECT_EQ(Form.Key, Again.Key);
   EXPECT_EQ(Form.Bytes, Again.Bytes);
+}
+
+namespace {
+
+/// The canonical form spelled out the slow way: every tied farthest pair
+/// (at most 16, in row-major scan order) in both orientations runs its
+/// own maxmin order, every candidate is fully encoded, and the
+/// byte-smallest encoding wins (the first one on a tie). `canonicalForm`
+/// must agree with it bit for bit.
+CanonicalForm referenceCanonicalForm(const DistanceMatrix &M) {
+  auto AppendU32 = [](std::vector<std::uint8_t> &Bytes, std::uint32_t V) {
+    for (int Shift = 0; Shift < 32; Shift += 8)
+      Bytes.push_back(static_cast<std::uint8_t>(V >> Shift));
+  };
+  auto Fnv1a = [](const std::vector<std::uint8_t> &Bytes) {
+    std::uint64_t Hash = 1469598103934665603ull;
+    for (std::uint8_t B : Bytes) {
+      Hash ^= B;
+      Hash *= 1099511628211ull;
+    }
+    return Hash;
+  };
+  const int N = M.size();
+  CanonicalForm Form;
+  if (N < 2) {
+    for (int I = 0; I < N; ++I)
+      Form.Perm.push_back(I);
+    AppendU32(Form.Bytes, static_cast<std::uint32_t>(N));
+    Form.Key = Fnv1a(Form.Bytes);
+    return Form;
+  }
+  double Farthest = M.at(0, 1);
+  for (int I = 0; I < N; ++I)
+    for (int J = I + 1; J < N; ++J)
+      Farthest = std::max(Farthest, M.at(I, J));
+  std::vector<std::pair<int, int>> Seeds;
+  for (int I = 0; I < N && Seeds.size() < 16; ++I)
+    for (int J = I + 1; J < N && Seeds.size() < 16; ++J)
+      if (M.at(I, J) == Farthest)
+        Seeds.emplace_back(I, J);
+  for (const auto &[I, J] : Seeds)
+    for (const auto &[First, Second] :
+         {std::pair<int, int>{I, J}, std::pair<int, int>{J, I}}) {
+      std::vector<int> Perm{First, Second};
+      std::vector<bool> Chosen(static_cast<std::size_t>(N), false);
+      Chosen[static_cast<std::size_t>(First)] = true;
+      Chosen[static_cast<std::size_t>(Second)] = true;
+      std::vector<double> MinToPrefix(static_cast<std::size_t>(N));
+      for (int K = 0; K < N; ++K)
+        MinToPrefix[static_cast<std::size_t>(K)] =
+            std::min(M.at(K, First), M.at(K, Second));
+      for (int Step = 2; Step < N; ++Step) {
+        int Best = -1;
+        for (int K = 0; K < N; ++K)
+          if (!Chosen[static_cast<std::size_t>(K)] &&
+              (Best < 0 || MinToPrefix[static_cast<std::size_t>(K)] >
+                               MinToPrefix[static_cast<std::size_t>(Best)]))
+            Best = K;
+        Perm.push_back(Best);
+        Chosen[static_cast<std::size_t>(Best)] = true;
+        for (int K = 0; K < N; ++K)
+          MinToPrefix[static_cast<std::size_t>(K)] = std::min(
+              MinToPrefix[static_cast<std::size_t>(K)], M.at(K, Best));
+      }
+      std::vector<std::uint8_t> Bytes;
+      AppendU32(Bytes, static_cast<std::uint32_t>(N));
+      for (int A = 0; A < N; ++A)
+        for (int B = A + 1; B < N; ++B) {
+          std::uint64_t Bits = 0;
+          double V = M.at(Perm[static_cast<std::size_t>(A)],
+                          Perm[static_cast<std::size_t>(B)]);
+          std::memcpy(&Bits, &V, sizeof(Bits));
+          for (int Shift = 0; Shift < 64; Shift += 8)
+            Bytes.push_back(static_cast<std::uint8_t>(Bits >> Shift));
+        }
+      if (Form.Bytes.empty() || Bytes < Form.Bytes) {
+        Form.Perm = std::move(Perm);
+        Form.Bytes = std::move(Bytes);
+      }
+    }
+  Form.Key = Fnv1a(Form.Bytes);
+  return Form;
+}
+
+/// A second, unrelated 64-bit hash (splitmix-style), so a golden row pins
+/// the canonical bytes by more than the FNV-1a key they produce.
+template <typename T> std::uint64_t mixHash(const std::vector<T> &Values) {
+  std::uint64_t H = 0x243f6a8885a308d3ull;
+  for (T V : Values) {
+    H = (H ^ static_cast<std::uint64_t>(V)) + 0x9e3779b97f4a7c15ull;
+    H = (H ^ (H >> 30)) * 0xbf58476d1ce4e5b9ull;
+    H = (H ^ (H >> 27)) * 0x94d049bb133111ebull;
+    H ^= H >> 31;
+  }
+  return H;
+}
+
+/// Integer distances drawn from `[Lo, Hi]`: many exact ties, and with
+/// `Hi <= 2 * Lo` the triangle inequality holds without repair.
+DistanceMatrix integerTieMatrix(int N, int Lo, int Hi, std::uint64_t Seed) {
+  Rng R(Seed);
+  DistanceMatrix M(N);
+  for (int I = 0; I < N; ++I)
+    for (int J = I + 1; J < N; ++J)
+      M.set(I, J, static_cast<double>(R.nextInt(Lo, Hi)));
+  return M;
+}
+
+/// Entries drawn from {-0.0, +0.0, 1, 2}: zeros of both signs compare
+/// equal but encode differently, and most pairs tie.
+DistanceMatrix signedZeroMatrix(int N, std::uint64_t Seed) {
+  const double Values[] = {-0.0, 0.0, 1.0, 2.0};
+  Rng R(Seed);
+  DistanceMatrix M(N);
+  for (int I = 0; I < N; ++I)
+    for (int J = I + 1; J < N; ++J)
+      M.set(I, J, Values[R.nextBelow(4)]);
+  return M;
+}
+
+/// A 40-taxon block-diagonal composition shaped like the ledger's
+/// `overlap-durable` requests: modules of 14, 14 and 12 taxa with
+/// near-equidistant distances of diameter 20, 80 apart from each other.
+DistanceMatrix moduleComposition(std::uint64_t Seed) {
+  const int Sizes[] = {14, 14, 12};
+  DistanceMatrix M(40);
+  for (int I = 0; I < 40; ++I)
+    for (int J = I + 1; J < 40; ++J)
+      M.set(I, J, 80.0);
+  int Offset = 0;
+  for (int K = 0; K < 3; ++K) {
+    DistanceMatrix Module = scaledToMax(
+        uniformRandomMetric(Sizes[K], Seed * 3 + static_cast<std::uint64_t>(K),
+                            18.0, 20.0),
+        20.0);
+    for (int I = 0; I < Sizes[K]; ++I)
+      for (int J = I + 1; J < Sizes[K]; ++J)
+        M.set(Offset + I, Offset + J, Module.at(I, J));
+    Offset += Sizes[K];
+  }
+  return M;
+}
+
+DistanceMatrix dataMatrix(const std::string &File) {
+  std::string Error;
+  std::optional<DistanceMatrix> M =
+      readMatrixFile(std::string(MUTK_REPO_ROOT) + "/data/" + File, &Error);
+  EXPECT_TRUE(M.has_value()) << File << ": " << Error;
+  return M ? *M : DistanceMatrix();
+}
+
+struct GoldenForm {
+  const char *Name;
+  DistanceMatrix M;
+  std::uint64_t Key;
+  std::uint64_t PermHash;
+  std::size_t Size;
+  std::uint64_t BytesHash;
+};
+
+} // namespace
+
+// Canonical forms are stored on disk and shipped between nodes, so any
+// change to the key, the permutation or the bytes is a format change.
+// These rows pin all three across the inputs that exercise every branch
+// of the construction: seed-pair ties past the 16-pair cap, signed
+// zeros, the trivial sizes and a warm-replay-sized planted matrix.
+TEST(Fingerprint, GoldenCanonicalForms) {
+  DistanceMatrix AllEqual(20);
+  for (int I = 0; I < 20; ++I)
+    for (int J = I + 1; J < 20; ++J)
+      AllEqual.set(I, J, 7.0);
+  DistanceMatrix Two(2);
+  Two.set(0, 1, 5.0);
+  DistanceMatrix Three(3);
+  Three.set(0, 1, 3.0);
+  Three.set(0, 2, 4.0);
+  Three.set(1, 2, 5.0);
+  DistanceMatrix AllZero(7);
+  for (int I = 0; I < 7; ++I)
+    for (int J = I + 1; J < 7; ++J)
+      AllZero.set(I, J, (I + J) % 3 == 0 ? -0.0 : 0.0);
+
+  const GoldenForm Rows[] = {
+      {"paper_example", dataMatrix("paper_example.dist"),
+       0x985ad27a1c6203c0ull, 0x1f9052fb8d651d91ull, 124, 0x9992eee97dc036eull},
+      {"hmdna16", dataMatrix("hmdna16.dist"),
+       0x26bac6f71215e37ull, 0x3827832ef6be7d5ull, 964, 0x698ec19d9fa73d90ull},
+      {"random20", dataMatrix("random20.dist"),
+       0xbadda7c0c72c19bdull, 0xc8bf3d437e3bc44full, 1524,
+       0xd7ab2b6c29682890ull},
+      {"all-equal-20", AllEqual,
+       0xaedb10353eca7cc7ull, 0x856471c42619a0b0ull, 1524,
+       0x5da700916395500dull},
+      {"int-ties-24-s1", integerTieMatrix(24, 2, 4, 1),
+       0x6fef31c742909983ull, 0xca56e12f34a753d1ull, 2212,
+       0x423be5fa7c386f6bull},
+      {"int-ties-24-s2", integerTieMatrix(24, 2, 4, 2),
+       0x28eace34c9f3464bull, 0xc130b1c8a2d1a295ull, 2212,
+       0x55069c864ef94919ull},
+      {"int-ties-31-s3", integerTieMatrix(31, 1, 2, 3),
+       0xcec677cf68b6bda1ull, 0x5aab1e484fb6b0f3ull, 3724,
+       0x4612974e2871c2e9ull},
+      {"signed-zero-12", signedZeroMatrix(12, 4),
+       0xbd3841591d4845ffull, 0x662f266eb5c4d681ull, 532,
+       0xed9bb6ffd89352d6ull},
+      {"all-zero-7", AllZero,
+       0x4624f614b85d21c4ull, 0xbac1ad66691a0463ull, 172,
+       0xf62fa418cdef90edull},
+      {"n0", DistanceMatrix(0),
+       0x315446a086a23133ull, 0x243f6a8885a308d3ull, 4, 0x4534183a9817a9a3ull},
+      {"n1", DistanceMatrix(1),
+       0x91599a98306c74a2ull, 0x2cb0f69f4abea221ull, 4, 0x3757231de6a562ddull},
+      {"n2", Two,
+       0xd8e5197e745bd025ull, 0x9478dcbcb9ca8043ull, 12, 0x56c9c4e55d0a423bull},
+      {"n3", Three,
+       0x690f65c55324092cull, 0xede5552e5fe53772ull, 28, 0xc570176602ec0d1ull},
+      {"planted-256", scaledToMax(plantedClusterMetric(256, 7), 100.0),
+       0x8944e8920c019263ull, 0xe270a80bcb41be83ull, 261124,
+       0xd3640ca74ba40032ull},
+  };
+  for (const GoldenForm &Row : Rows) {
+    CanonicalForm Form = canonicalForm(Row.M);
+    std::uint64_t PermHash = mixHash(Form.Perm);
+    std::uint64_t BytesHash = mixHash(Form.Bytes);
+    EXPECT_TRUE(Form.Key == Row.Key && PermHash == Row.PermHash &&
+                Form.Bytes.size() == Row.Size && BytesHash == Row.BytesHash)
+        << "{\"" << Row.Name << "\", ..., 0x" << std::hex << Form.Key
+        << "ull, 0x" << PermHash << "ull, " << std::dec << Form.Bytes.size()
+        << ", 0x" << std::hex << BytesHash << "ull}";
+  }
+}
+
+// The data files' permutations, spelled out.
+TEST(Fingerprint, GoldenPermutationsOfTheDataFiles) {
+  EXPECT_EQ(canonicalForm(dataMatrix("paper_example.dist")).Perm,
+            (std::vector<int>{2, 5, 4, 1, 3, 0}));
+  EXPECT_EQ(canonicalForm(dataMatrix("hmdna16.dist")).Perm,
+            (std::vector<int>{15, 11, 9, 14, 4, 5, 2, 13, 7, 8, 3, 6, 10, 12,
+                              0, 1}));
+  EXPECT_EQ(canonicalForm(dataMatrix("random20.dist")).Perm,
+            (std::vector<int>{10, 2, 12, 15, 13, 0, 9, 5, 18, 3, 7, 14, 17, 6,
+                              11, 16, 1, 4, 19, 8}));
+}
+
+// Property: `canonicalForm` equals the encode-every-candidate reference
+// (key, permutation and bytes) on inputs chosen to stress each shortcut
+// a faster construction could take: tie-heavy integer matrices (seed
+// pairs past the cap, mid-order argmax ties), signed zeros (equal as
+// values, different as bytes), block-diagonal module compositions
+// (hundreds of tied farthest pairs) and their relabelings.
+TEST(Fingerprint, MatchesEncodeEveryCandidateReference) {
+  std::vector<DistanceMatrix> Inputs;
+  for (std::uint64_t Seed = 0; Seed < 400; ++Seed) {
+    int N = 2 + static_cast<int>(Seed % 29);
+    int Hi = 1 + static_cast<int>(Seed % 3);
+    Inputs.push_back(integerTieMatrix(N, 1, Hi, 100 + Seed));
+  }
+  for (std::uint64_t Seed = 0; Seed < 300; ++Seed)
+    Inputs.push_back(signedZeroMatrix(2 + static_cast<int>(Seed % 23),
+                                      500 + Seed));
+  for (std::uint64_t Seed = 0; Seed < 200; ++Seed)
+    Inputs.push_back(moduleComposition(900 + Seed));
+  for (std::uint64_t Seed = 0; Seed < 60; ++Seed)
+    Inputs.push_back(uniformRandomMetric(3 + static_cast<int>(Seed % 40),
+                                         1300 + Seed));
+  // Relabelings reach the same inputs through different scan orders.
+  const std::size_t Base = Inputs.size();
+  for (std::size_t I = 0; I < Base; I += 6) {
+    Rng R(2000 + I);
+    Inputs.push_back(Inputs[I].permuted(R.permutation(Inputs[I].size())));
+  }
+  ASSERT_GE(Inputs.size(), 1000u);
+  for (std::size_t I = 0; I < Inputs.size(); ++I) {
+    CanonicalForm Got = canonicalForm(Inputs[I]);
+    CanonicalForm Want = referenceCanonicalForm(Inputs[I]);
+    ASSERT_EQ(Got.Key, Want.Key) << "input " << I;
+    ASSERT_EQ(Got.Perm, Want.Perm) << "input " << I;
+    ASSERT_EQ(Got.Bytes, Want.Bytes) << "input " << I;
+  }
 }
 
 //===----------------------------------------------------------------------===//
