@@ -14,12 +14,15 @@
 /// pair seeds the order, and which of its endpoints comes first — is
 /// resolved by enumerating every tied farthest pair in both orientations
 /// (capped at 16 pairs) and keeping the lexicographically smallest byte
-/// string, which is label-independent. Remaining ties (equal maxmin
-/// margins mid-order, or more tied farthest pairs than the cap) are
-/// broken toward the smaller index, which is label-dependent; such
-/// degenerate inputs may canonicalize differently under relabeling — that
-/// costs a cache miss, never a wrong hit, because hits additionally
-/// compare the canonical bytes, not just the 64-bit hash.
+/// string, which is label-independent. One maxmin sweep serves both
+/// orientations of a pair, and candidates are ranked distance by
+/// distance without being encoded (docs/ALGORITHMS.md §10). Remaining
+/// ties (equal maxmin margins mid-order, or more tied farthest pairs than
+/// the cap) are broken toward the smaller index, which is
+/// label-dependent; such degenerate inputs may canonicalize differently
+/// under relabeling — that costs a cache miss, never a wrong hit, because
+/// hits additionally compare the canonical bytes, not just the 64-bit
+/// hash.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +49,12 @@ struct CanonicalForm {
   std::vector<std::uint8_t> Bytes;
 };
 
-/// Computes the canonical form of \p M (O(n^2)).
+/// Computes the canonical form of \p M: one O(n^2) maxmin sweep per tied
+/// farthest pair (at most 16), candidate comparisons that stop at the
+/// first distance that differs, then one encode and one byte-serial
+/// FNV-1a pass over the winner's 8 n(n-1)/2 bytes. The FNV pass is the
+/// floor: at n = 256 it takes about 400 of the call's 600 us (Release,
+/// 4-vCPU shared host).
 CanonicalForm canonicalForm(const DistanceMatrix &M);
 
 /// Shorthand for `canonicalForm(M).Key`: a relabeling-invariant 64-bit
