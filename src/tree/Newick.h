@@ -19,10 +19,13 @@
 
 namespace mutk {
 
-/// Writes \p T in Newick format (single line, terminated by `;`).
+/// Writes `toNewick(T)` to \p OS; the stream's formatting flags are
+/// neither used nor changed.
 void writeNewick(std::ostream &OS, const PhyloTree &T);
 
-/// Serializes \p T to a Newick string.
+/// Serializes \p T to a Newick string (single line, terminated by `;`).
+/// Branch lengths are printed as `%.17g`, so every double round-trips
+/// exactly.
 std::string toNewick(const PhyloTree &T);
 
 /// Parses a Newick string into a PhyloTree.

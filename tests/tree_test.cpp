@@ -1,5 +1,6 @@
 //===- tests/tree_test.cpp - PhyloTree, fit, Newick, RF ---------*- C++ -*-===//
 
+#include "heur/Upgma.h"
 #include "matrix/Generators.h"
 #include "tree/Newick.h"
 #include "tree/PhyloTree.h"
@@ -7,6 +8,13 @@
 #include "tree/UltrametricFit.h"
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <sstream>
+#include <string>
 
 using namespace mutk;
 
@@ -235,6 +243,77 @@ TEST(Newick, FuzzedInputNeverCrashes) {
     if (T.has_value())
       EXPECT_TRUE(T->isWellFormed()) << "input: " << Input;
   }
+}
+
+namespace {
+
+/// Newick through an ostream at `max_digits10`: the writer `toNewick`
+/// must match byte for byte.
+void streamNode(std::ostream &OS, const PhyloTree &T, int Node) {
+  const PhyloNode &N = T.node(Node);
+  if (N.isLeaf()) {
+    OS << T.speciesName(N.Leaf);
+  } else {
+    OS << '(';
+    streamNode(OS, T, N.Left);
+    OS << ',';
+    streamNode(OS, T, N.Right);
+    OS << ')';
+  }
+  if (N.Parent >= 0)
+    OS << ':' << T.edgeWeightAbove(Node);
+}
+
+std::string streamNewick(const PhyloTree &T) {
+  std::ostringstream OS;
+  OS.precision(std::numeric_limits<double>::max_digits10);
+  if (T.root() >= 0)
+    streamNode(OS, T, T.root());
+  OS << ';';
+  return OS.str();
+}
+
+} // namespace
+
+TEST(Newick, ToCharsMatchesStreamWriter) {
+  // Subnormal, smallest normal, tiny, inexact decimals, the switch to
+  // exponent notation at 1e17 and a huge length.
+  const double Lengths[] = {5e-324, 2.2250738585072014e-308, 1e-300,
+                            0.1,    1.0 / 3.0,               2.0,
+                            1e16,   1e17,                    1e300};
+  for (double L : Lengths) {
+    // A cherry at height L puts L itself on both leaf edges.
+    PhyloTree T = twoCherries(L, 3 * L, 4 * L);
+    std::string Text = toNewick(T);
+    EXPECT_EQ(Text, streamNewick(T)) << L;
+    std::optional<PhyloTree> Back = parseNewick(Text);
+    ASSERT_TRUE(Back.has_value()) << Text;
+    EXPECT_EQ(toNewick(*Back), Text);
+    for (int Leaf : {0, 1})
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(Back->edgeWeightAbove(
+                    Back->leafNodeOf(Leaf))),
+                std::bit_cast<std::uint64_t>(L))
+          << Text;
+  }
+  for (std::uint64_t Seed = 1; Seed <= 20; ++Seed) {
+    PhyloTree T = buildLinkageTree(uniformRandomMetric(24, Seed),
+                                   Seed % 2 ? Linkage::Maximum
+                                            : Linkage::Average);
+    EXPECT_EQ(toNewick(T), streamNewick(T)) << "seed " << Seed;
+  }
+}
+
+// The writer no longer sets the caller's stream to 17 digits as a side
+// effect.
+TEST(Newick, WriteLeavesTheStreamPrecisionAlone) {
+  PhyloTree T = twoCherries(1.0 / 3.0, 2.5, 7.0);
+  std::ostringstream OS;
+  OS.precision(3);
+  writeNewick(OS, T);
+  EXPECT_EQ(OS.str(), toNewick(T));
+  EXPECT_EQ(OS.precision(), 3);
+  OS << ' ' << 1.0 / 3.0;
+  EXPECT_EQ(OS.str(), toNewick(T) + " 0.333");
 }
 
 TEST(Newick, ParseToleratesWhitespace) {
