@@ -92,7 +92,8 @@ ShardedLruCache::lookup(std::uint64_t Key,
   count(S, Hit);
   MUTK_AUDIT(shardConsistent(S),
              "cache shard index/LRU desynchronized after lookup");
-  return It->second->second;
+  const CachedSolution &Entry = It->second->second;
+  return CachedSolution{Entry.Tree, Entry.Cost, Entry.Exact, Entry.Block, {}};
 }
 
 bool ShardedLruCache::peek(std::uint64_t Key,
