@@ -78,11 +78,13 @@ DifficultyProfile CostModel::generatorProfile(int Species) {
   return P;
 }
 
-DifficultyProfile CostModel::profileFor(const DistanceMatrix &M) {
-  std::uint64_t Key = fingerprint(M);
+DifficultyProfile CostModel::profileFor(const DistanceMatrix &M,
+                                        std::optional<std::uint64_t> Key) {
+  if (!Key)
+    Key = fingerprint(M);
   {
     MutexLock Lock(MemoMu);
-    auto It = Memo.find(Key);
+    auto It = Memo.find(*Key);
     if (It != Memo.end()) {
       // Refresh recency; a fingerprint collision at worst re-ranks a
       // request (the profile is advisory, never a correctness input).
@@ -94,9 +96,9 @@ DifficultyProfile CostModel::profileFor(const DistanceMatrix &M) {
   DryRuns.inc();
   DifficultyProfile P = computeProfile(M);
   MutexLock Lock(MemoMu);
-  if (Memo.find(Key) == Memo.end()) {
-    Recency.push_front(Key);
-    Memo.emplace(Key, MemoEntry{P, Recency.begin()});
+  if (Memo.find(*Key) == Memo.end()) {
+    Recency.push_front(*Key);
+    Memo.emplace(*Key, MemoEntry{P, Recency.begin()});
     while (Memo.size() > std::max<std::size_t>(1, Options.MemoCapacity)) {
       Memo.erase(Recency.back());
       Recency.pop_back();

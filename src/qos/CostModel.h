@@ -35,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <list>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -94,8 +95,12 @@ public:
 
   /// Memoized `computeProfile`: keyed by the relabeling-invariant
   /// canonical fingerprint, so resubmissions (and relabelings) of a
-  /// matrix never pay the dry run twice.
-  DifficultyProfile profileFor(const DistanceMatrix &M);
+  /// matrix never pay the dry run twice. \p Key, when given, must be
+  /// `fingerprint(M)`: a caller that already canonicalized \p M (the
+  /// service's warm-cache probe) passes it instead of paying for a
+  /// second canonical form.
+  DifficultyProfile profileFor(const DistanceMatrix &M,
+                               std::optional<std::uint64_t> Key = {});
 
   /// A profile for a server-side generated workload, where only the
   /// species count is known at admission time: one undecomposed block of

@@ -177,6 +177,29 @@ TEST(QosCostModel, DryRunProfileIsMemoizedAcrossRelabelings) {
   EXPECT_EQ(Model.dryRuns(), 2u);
 }
 
+// The service's warm-cache probe has already canonicalized the matrix
+// and passes that key, so the memo must work through it: a relabeling
+// hits through its own passed key, and a passed key is used as given
+// rather than recomputed.
+TEST(QosCostModel, PassedProbeKeyReachesTheMemo) {
+  CostModel Model;
+  DistanceMatrix M = bandMatrix(12, 5.0, 9.0, 31);
+  DistanceMatrix Renamed = relabeled(M);
+  (void)Model.profileFor(M, canonicalForm(M).Key);
+  (void)Model.profileFor(Renamed, canonicalForm(Renamed).Key);
+  EXPECT_EQ(Model.dryRuns(), 1u);
+  EXPECT_EQ(Model.memoHits(), 1u);
+
+  // Without a key the model computes the same one itself.
+  (void)Model.profileFor(Renamed);
+  EXPECT_EQ(Model.memoHits(), 2u);
+
+  // A different matrix passed under M's key is answered from M's entry.
+  (void)Model.profileFor(bandMatrix(12, 5.0, 9.0, 32), canonicalForm(M).Key);
+  EXPECT_EQ(Model.dryRuns(), 1u);
+  EXPECT_EQ(Model.memoHits(), 3u);
+}
+
 TEST(QosCostModel, MemoEvictsLeastRecentlyUsed) {
   CostModelOptions Options;
   Options.MemoCapacity = 2;
