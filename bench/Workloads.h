@@ -1,10 +1,11 @@
 //===- bench/Workloads.h - Shared benchmark harness helpers -----*- C++ -*-===//
 ///
 /// \file
-/// Workload constructors, aggregation helpers and table printers shared
-/// by every reproduction benchmark. Each bench binary prints a
-/// paper-style table (the actual figure reproduction) and then runs its
-/// google-benchmark timings.
+/// Workload constructors, aggregation helpers and the table banner
+/// shared by `paper/mutk_paper`, which prints every paper table and
+/// ablation, and by the extension benchmarks (`ext_*`,
+/// `micro_substrates`), which print their table and then run their
+/// Google Benchmark timings. Seeds are fixed so every table reproduces.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -109,8 +110,9 @@ inline mutk::DistanceMatrix composeModules(
   return Out;
 }
 
-/// Safety cap so no single "without compact sets" solve can run away;
-/// rows that hit it are flagged in the table.
+/// Safety cap so no single "without compact sets" solve can run away. A
+/// capped solve branches exactly this many nodes, which is how a table
+/// row shows it (HPCAsia Figures 2-3 at n = 24 and 26).
 inline mutk::BnbOptions cappedBnb() {
   mutk::BnbOptions Options;
   Options.MaxBranchedNodes = 4'000'000;

@@ -54,13 +54,6 @@ struct BlockOutcome {
   int HeightClamps = 0;
 };
 
-/// Remaps the leaf labels of \p Tree through \p Map (`new = Map[old]`).
-PhyloTree relabelLeaves(const PhyloTree &Tree, const std::vector<int> &Map) {
-  PhyloTree Out;
-  Out.setRoot(Out.adoptSubtree(Tree, Map));
-  return Out;
-}
-
 /// Solves the condensed matrix of hierarchy node \p Id and fills \p Out.
 /// Thread-safe across distinct calls: shared state is only reached
 /// through the (caller-synchronized) cache/checkpoint hooks, which are
@@ -123,7 +116,7 @@ PhyloTree solveOneBlock(const SolveContext &Ctx, int Id, BlockOutcome &Out)
       // interrupted earlier run is obsolete.
       if (Ckpt && Ckpt->Done)
         Ckpt->Done(Form.Key);
-      return relabelLeaves(Hit->Tree, Form.Perm);
+      return Hit->Tree.relabeled(Form.Perm);
     }
   }
 
@@ -198,11 +191,8 @@ PhyloTree solveOneBlock(const SolveContext &Ctx, int Id, BlockOutcome &Out)
   if (Cache && Cache->Store && HaveForm) {
     // Store in canonical labels: canonical index k sits where the solve
     // saw block index Form.Perm[k].
-    std::vector<int> Inverse(Form.Perm.size());
-    for (std::size_t K = 0; K < Form.Perm.size(); ++K)
-      Inverse[static_cast<std::size_t>(Form.Perm[K])] = static_cast<int>(K);
     BlockCacheEntry Entry;
-    Entry.Tree = relabelLeaves(Tree, Inverse);
+    Entry.Tree = Tree.relabeled(Form.inversePerm());
     Entry.Cost = Report.Cost;
     Entry.Exact = Report.Exact;
     Cache->Store(Form.Key, Form.Bytes, Entry);

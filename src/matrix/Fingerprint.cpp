@@ -173,6 +173,13 @@ CanonicalForm mutk::canonicalForm(const DistanceMatrix &M) {
   return Form;
 }
 
+std::vector<int> CanonicalForm::inversePerm() const {
+  std::vector<int> Inverse(Perm.size());
+  for (std::size_t K = 0; K < Perm.size(); ++K)
+    Inverse[static_cast<std::size_t>(Perm[K])] = static_cast<int>(K);
+  return Inverse;
+}
+
 std::uint64_t mutk::fingerprint(const DistanceMatrix &M) {
   return canonicalForm(M).Key;
 }

@@ -43,6 +43,9 @@ struct CanonicalForm {
   /// Maxmin permutation used: canonical index `k` is original index
   /// `Perm[k]`.
   std::vector<int> Perm;
+  /// The inverse of `Perm` (original index -> canonical index). Cached
+  /// trees are stored relabeled through it, and replayed through `Perm`.
+  std::vector<int> inversePerm() const;
   /// The canonical upper triangle, bit-exact (size header + doubles in
   /// row-major `(i, j > i)` order). Equality of two canonical forms is
   /// equality of these bytes; names are deliberately excluded.

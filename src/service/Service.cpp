@@ -33,6 +33,16 @@ constexpr int IncrementalMaxChangedEntries = 8;
 /// fingerprint.
 constexpr std::size_t QosProfileMemoCapacity = 256;
 
+/// Smallest condensed block (species count) worth a remote cache
+/// round-trip or a cross-ring insert. Tiny blocks are cheaper to re-solve
+/// than to fetch; the floor is read off the canonical-bytes size header
+/// (`canonicalSpeciesCount`).
+constexpr int RemoteBlockMinSize = 3;
+
+/// Cadence of per-block search checkpoints when a StateDir is set.
+constexpr std::uint64_t CheckpointEveryNodes = 200'000;
+constexpr double CheckpointEverySeconds = 5.0;
+
 /// In-memory cache entries -> durable records (shared by early and
 /// shutdown compaction).
 std::vector<persist::DurableCacheRecord>
@@ -42,13 +52,6 @@ toDurableRecords(std::vector<std::pair<std::uint64_t, CachedSolution>> Entries) 
   for (auto &[Key, Value] : Entries)
     Records.push_back(toDurableRecord(Key, std::move(Value)));
   return Records;
-}
-
-/// Returns \p Tree with leaves relabeled through \p Map (`new = Map[old]`).
-PhyloTree relabelLeaves(const PhyloTree &Tree, const std::vector<int> &Map) {
-  PhyloTree Out;
-  Out.setRoot(Out.adoptSubtree(Tree, Map));
-  return Out;
 }
 
 /// Whole-matrix cache identity: the canonical matrix bytes (moved in;
@@ -746,7 +749,7 @@ BuildResponse TreeService::process(const Job &J) {
     Key = wholeCacheKey(Form, Request);
     auto replay = [&](const CachedSolution &Hit) {
       Counters.WholeHits.inc();
-      PhyloTree Tree = relabelLeaves(Hit.Tree, Form.Perm);
+      PhyloTree Tree = Hit.Tree.relabeled(Form.Perm);
       Tree.setNames(M.names());
       // A replayed tree must be exactly as good as a fresh solve: same
       // leaf set, ultrametric, and (exact entries are stored only for
@@ -850,14 +853,11 @@ BuildResponse TreeService::process(const Job &J) {
 
   if (Resp.ok() && Resp.Exact && CacheOn) {
     // Store in canonical labels so any relabeling of M replays it.
-    std::vector<int> Inverse(Form.Perm.size());
-    for (std::size_t K = 0; K < Form.Perm.size(); ++K)
-      Inverse[static_cast<std::size_t>(Form.Perm[K])] = static_cast<int>(K);
     CachedSolution Entry;
     Entry.Cost = Resp.Cost;
     Entry.Exact = Resp.Exact;
     Entry.Bytes = std::move(Identity);
-    Entry.Tree = relabelLeaves(SolvedTree, Inverse);
+    Entry.Tree = SolvedTree.relabeled(Form.inversePerm());
     persistSolution(Key, Entry);
     if (DistCache *Cluster = Remote.load(std::memory_order_acquire))
       Cluster->insert(Key, Entry, CacheTier::Whole);
@@ -920,7 +920,7 @@ BuildResponse TreeService::solveFresh(const DistanceMatrix &M,
       std::optional<CachedSolution> Hit = Cache.lookup(Key, Bytes);
       if (!Hit) {
         if (DistCache *Cluster = Remote.load(std::memory_order_acquire)) {
-          if (canonicalSpeciesCount(Bytes) >= Options.RemoteBlockMinSize) {
+          if (canonicalSpeciesCount(Bytes) >= RemoteBlockMinSize) {
             BC.RemoteLookups.inc();
             Hit = Cluster->lookup(Key, Bytes, CacheTier::Block);
             if (Hit) {
@@ -957,7 +957,7 @@ BuildResponse TreeService::solveFresh(const DistanceMatrix &M,
       Value.Bytes = Bytes;
       persistSolution(Key, Value);
       if (DistCache *Cluster = Remote.load(std::memory_order_acquire)) {
-        if (canonicalSpeciesCount(Bytes) >= Options.RemoteBlockMinSize) {
+        if (canonicalSpeciesCount(Bytes) >= RemoteBlockMinSize) {
           BC.RemoteInserts.inc();
           Cluster->insert(Key, Value, CacheTier::Block);
         }
@@ -972,8 +972,8 @@ BuildResponse TreeService::solveFresh(const DistanceMatrix &M,
     // a re-enqueued job after a crash picks each block up where the
     // previous process stopped.
     Pipeline.BlockCheckpoint = &CheckpointHooks;
-    Pipeline.Bnb.CheckpointEveryNodes = Options.CheckpointEveryNodes;
-    Pipeline.Bnb.CheckpointEverySeconds = Options.CheckpointEverySeconds;
+    Pipeline.Bnb.CheckpointEveryNodes = CheckpointEveryNodes;
+    Pipeline.Bnb.CheckpointEverySeconds = CheckpointEverySeconds;
   }
 
   PipelineResult Result = buildCompactSetTree(M, Pipeline);

@@ -118,12 +118,6 @@ struct ServiceOptions {
 
   /// @}
 
-  /// Smallest condensed block (species count) worth a remote cache
-  /// round-trip or a cross-ring insert. Tiny blocks are cheaper to
-  /// re-solve than to fetch; the floor is read off the canonical-bytes
-  /// size header (`canonicalSpeciesCount`).
-  int RemoteBlockMinSize = 3;
-
   /// Durable state directory; empty disables persistence. When set the
   /// service recovers the result cache (snapshot + WAL replay) and
   /// re-enqueues journaled-but-unfinished jobs on startup, journals
@@ -140,10 +134,6 @@ struct ServiceOptions {
   /// The job journal ignores it: `Submitted` records always sync,
   /// `Completed` marks never do.
   bool SyncWrites = true;
-  /// Cadence of per-block search checkpoints (both zero disables them;
-  /// only meaningful with a StateDir).
-  std::uint64_t CheckpointEveryNodes = 200'000;
-  double CheckpointEverySeconds = 5.0;
 
   /// \name Cost-predictive QoS layer (docs/qos.md).
   /// @{

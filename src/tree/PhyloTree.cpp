@@ -294,6 +294,12 @@ int PhyloTree::adoptSubtree(const PhyloTree &Sub,
   return NewIndex[static_cast<std::size_t>(Sub.root())];
 }
 
+PhyloTree PhyloTree::relabeled(const std::vector<int> &Map) const {
+  PhyloTree Out;
+  Out.setRoot(Out.adoptSubtree(*this, Map));
+  return Out;
+}
+
 bool PhyloTree::isAncestorOf(int Ancestor, int Node) const {
   for (int Cur = Node; Cur >= 0; Cur = node(Cur).Parent)
     if (Cur == Ancestor)

@@ -145,6 +145,10 @@ public:
   /// \p SpeciesMap. \returns the node index of the copied root.
   int adoptSubtree(const PhyloTree &Sub, const std::vector<int> &SpeciesMap);
 
+  /// A copy of this tree with its leaves relabeled through \p Map
+  /// (`new = Map[old]`).
+  PhyloTree relabeled(const std::vector<int> &Map) const;
+
   /// True if \p Ancestor lies on the path from \p Node to the root
   /// (a node is its own ancestor).
   bool isAncestorOf(int Ancestor, int Node) const;

@@ -772,7 +772,7 @@ TEST(Cluster, BlockSolvedOnOnePeerServesAnother) {
     PipelineOptions PipeOpts;
     PipeOpts.BlockCache = &Spy;
     buildCompactSetTree(HardModule(1), PipeOpts);
-    // Must clear the remote size floor (ServiceOptions::RemoteBlockMinSize).
+    // Must clear the remote size floor (RemoteBlockMinSize, Service.cpp).
     ASSERT_GE(Biggest, 3);
   }
 
