@@ -7,7 +7,7 @@
 /// the *provably minimal* number of nodes whose lower bound is below the
 /// optimum, at the price of holding the whole frontier in memory — the
 /// classic B&B trade-off this pair of solvers lets the ablation bench
-/// quantify (`bench/ablation_search_order`).
+/// quantify (`mutk_paper ablation_search_order`).
 ///
 //===----------------------------------------------------------------------===//
 
