@@ -110,6 +110,8 @@ PersistInstruments &mutk::obs::persistInstruments() {
   static PersistInstruments I{
       reg().counter("mutk_persist_wal_appends_total"),
       reg().counter("mutk_persist_wal_append_bytes_total"),
+      reg().counter("mutk_persist_wal_syncs_total"),
+      reg().counter("mutk_persist_wal_append_errors_total"),
       reg().counter("mutk_persist_snapshot_writes_total"),
       reg().counter("mutk_persist_recovered_records_total"),
       reg().counter("mutk_persist_dropped_records_total"),

@@ -104,11 +104,14 @@ BnbInstruments &bnbInstruments();
 /// `BnbOptions::PublishMetrics` at the call sites).
 void recordBnbSolve(const BnbStats &Stats);
 
-/// Durability-layer instruments (`src/persist`): WAL traffic, snapshot
-/// compactions, startup recovery and B&B checkpoint writes.
+/// Durability-layer instruments (`src/persist`): WAL traffic and
+/// flushes, snapshot compactions, startup recovery and B&B checkpoint
+/// writes.
 struct PersistInstruments {
   Counter &WalAppends;
   Counter &WalAppendBytes;
+  Counter &WalSyncs;
+  Counter &WalAppendErrors;
   Counter &SnapshotWrites;
   Counter &RecoveredRecords;
   Counter &DroppedRecords;

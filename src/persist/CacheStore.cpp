@@ -125,6 +125,13 @@ bool CacheStore::append(const DurableCacheRecord &Rec, bool Sync) {
   return Ok;
 }
 
+std::uint64_t CacheStore::write(const DurableCacheRecord &Rec) {
+  const Wal::Written W = Log.write(encodeCacheRecord(Rec));
+  obs::persistInstruments().WalBytes.set(
+      static_cast<std::int64_t>(Log.bytes()));
+  return W.Seq;
+}
+
 bool CacheStore::compact(const std::vector<DurableCacheRecord> &All) {
   std::vector<std::vector<std::uint8_t>> Frames;
   Frames.reserve(All.size());

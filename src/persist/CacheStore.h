@@ -53,7 +53,11 @@ std::vector<std::uint8_t> encodeCacheRecord(const DurableCacheRecord &Rec);
 std::optional<DurableCacheRecord>
 decodeCacheRecord(const std::vector<std::uint8_t> &Bytes);
 
-/// The snapshot + WAL pair under one state directory.
+/// The snapshot + WAL pair under one state directory. `write`,
+/// `syncThrough`, `append` and the size queries are thread-safe (the
+/// WAL's group commit); `load` and `compact` must not overlap a write,
+/// because a record written during a compaction would be truncated away
+/// with the WAL.
 class CacheStore {
 public:
   /// Files live at `<StateDir>/cache.snapshot` and `<StateDir>/cache.wal`
@@ -81,6 +85,14 @@ public:
   /// Journals one insertion. \p Sync forces fdatasync (the default: a
   /// cache record is the product of an expensive solve).
   bool append(const DurableCacheRecord &Rec, bool Sync = true);
+
+  /// Journals one insertion without waiting for it to be durable.
+  /// \returns its WAL sequence number, 0 when the write failed.
+  std::uint64_t write(const DurableCacheRecord &Rec);
+  /// Waits until every record up to \p Seq is durable (`Wal::syncThrough`).
+  bool syncThrough(std::uint64_t Seq) { return Log.syncThrough(Seq); }
+  /// Sequence number of the newest record written.
+  std::uint64_t lastSeq() const { return Log.lastSeq(); }
 
   /// Rewrites the snapshot to exactly \p All and truncates the WAL.
   bool compact(const std::vector<DurableCacheRecord> &All);

@@ -107,6 +107,33 @@ std::uint64_t mutk::persist::fileSize(const std::string &Path) {
   return Ec ? 0 : Size;
 }
 
+std::optional<std::vector<std::uint8_t>>
+mutk::persist::readFileRange(const std::string &Path, std::uint64_t Offset,
+                             std::size_t Size) {
+  int Fd = openRetry(Path.c_str(), O_RDONLY | O_CLOEXEC, 0);
+  if (Fd < 0)
+    return std::nullopt;
+  std::vector<std::uint8_t> Bytes(Size);
+  std::size_t Done = 0;
+  while (Done < Size) {
+    ssize_t N = ::pread(Fd, Bytes.data() + Done, Size - Done,
+                        static_cast<off_t>(Offset + Done));
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      break;
+    Done += static_cast<std::size_t>(N);
+  }
+  ::close(Fd);
+  if (Done != Size)
+    return std::nullopt;
+  return Bytes;
+}
+
+bool mutk::persist::syncDescriptor(int Fd) {
+  return Fd >= 0 && ::fdatasync(Fd) == 0;
+}
+
 AppendFile::~AppendFile() { close(); }
 
 AppendFile::AppendFile(AppendFile &&Other) noexcept
@@ -133,10 +160,15 @@ bool AppendFile::append(const std::vector<std::uint8_t> &Bytes) {
   return writeAllFd(Fd, Bytes.data(), Bytes.size());
 }
 
-bool AppendFile::sync() {
+bool AppendFile::truncate(std::uint64_t Size) {
   if (Fd < 0)
     return false;
-  return ::fdatasync(Fd) == 0;
+  for (;;) {
+    if (::ftruncate(Fd, static_cast<off_t>(Size)) == 0)
+      return true;
+    if (errno != EINTR)
+      return false;
+  }
 }
 
 void AppendFile::close() {

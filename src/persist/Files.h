@@ -8,8 +8,8 @@
 ///    a crash) never observes a half-written snapshot or checkpoint. The
 ///    rename is atomic on POSIX within one filesystem; the temp file
 ///    lives next to the target to guarantee that.
-///  - `AppendFile`: an `O_APPEND` descriptor for write-ahead logs, with
-///    explicit `sync()`.
+///  - `AppendFile`: an `O_APPEND` descriptor for write-ahead logs, flushed
+///    with `syncDescriptor`.
 ///
 /// Everything uses raw POSIX descriptors — `scripts/lint.sh` forbids
 /// `std::ofstream`/`fopen` under `src/persist/` precisely so no code
@@ -45,9 +45,19 @@ bool removeFile(const std::string &Path);
 /// Size of a file in bytes, 0 when absent.
 std::uint64_t fileSize(const std::string &Path);
 
+/// Reads \p Size bytes of \p Path starting at \p Offset; nullopt when the
+/// file cannot be read or ends first.
+std::optional<std::vector<std::uint8_t>>
+readFileRange(const std::string &Path, std::uint64_t Offset, std::size_t Size);
+
+/// fdatasync()s \p Fd. Takes the bare descriptor so a caller can flush
+/// an `AppendFile` without holding the lock that guards the object; it
+/// must keep the descriptor open until the call returns.
+bool syncDescriptor(int Fd);
+
 /// An append-only log file handle (`O_APPEND`, created when missing).
-/// Appends go straight to the descriptor; call `sync()` to force them to
-/// stable storage. Move-only.
+/// Appends go straight to the descriptor; `syncDescriptor(fd())` forces
+/// them to stable storage. Move-only.
 class AppendFile {
 public:
   AppendFile() = default;
@@ -61,11 +71,15 @@ public:
   bool open(const std::string &Path);
   bool isOpen() const { return Fd >= 0; }
 
-  /// Appends the whole buffer (retries short writes and EINTR).
+  /// Appends the whole buffer (retries short writes and EINTR). A
+  /// failure can leave part of the buffer behind.
   bool append(const std::vector<std::uint8_t> &Bytes);
 
-  /// fdatasync()s outstanding appends.
-  bool sync();
+  /// Cuts the file back to \p Size bytes (drops a partial append).
+  bool truncate(std::uint64_t Size);
+
+  /// The descriptor, -1 when closed.
+  int fd() const { return Fd; }
 
   void close();
 

@@ -17,6 +17,10 @@ constexpr std::uint32_t JournalFormatVersion = 1;
 constexpr std::uint8_t TagSubmitted = 0;
 constexpr std::uint8_t TagCompleted = 1;
 
+/// Past this size the running journal rewrites itself down to its
+/// pending `Submitted` frames.
+constexpr std::uint64_t JournalCompactBytes = 8u << 20;
+
 std::vector<std::uint8_t> encodeSubmitted(std::uint64_t Id,
                                           const std::vector<std::uint8_t> &Req) {
   ByteWriter Writer;
@@ -41,6 +45,8 @@ JobJournal::JobJournal(const std::string &StateDir)
 }
 
 std::vector<PendingJob> JobJournal::load() {
+  MutexLock Lock(Mu);
+  Spans.clear();
   Wal::ReplayResult Replay = Log.replay();
   if (Replay.Incompatible) {
     obs::log(obs::LogLevel::Warn, "persist",
@@ -81,7 +87,11 @@ std::vector<PendingJob> JobJournal::load() {
   Frames.reserve(Pending.size());
   for (const PendingJob &Job : Pending)
     Frames.push_back(encodeSubmitted(Job.Id, Job.EncodedRequest));
-  Log.rewrite(Frames);
+  std::vector<std::uint64_t> Offsets;
+  if (Log.rewrite(Frames, &Offsets))
+    for (std::size_t I = 0; I < Pending.size(); ++I)
+      Spans[Pending[I].Id] = {Offsets[I], 8 + Frames[I].size()};
+  CompactedBytes = Log.bytes();
 
   obs::persistInstruments().RecoveredJobs.inc(Pending.size());
   return Pending;
@@ -89,9 +99,69 @@ std::vector<PendingJob> JobJournal::load() {
 
 bool JobJournal::submitted(std::uint64_t Id,
                            const std::vector<std::uint8_t> &EncodedRequest) {
-  return Log.append(encodeSubmitted(Id, EncodedRequest), /*Sync=*/true);
+  const std::vector<std::uint8_t> Payload = encodeSubmitted(Id, EncodedRequest);
+  std::uint64_t Seq = 0;
+  {
+    MutexLock Lock(Mu);
+    const Wal::Written W = Log.write(Payload);
+    if (W.Seq == 0)
+      return false;
+    Spans[Id] = {W.Offset, 8 + Payload.size()};
+    Seq = W.Seq;
+    boundLocked();
+  }
+  return Log.syncThrough(Seq);
 }
 
 bool JobJournal::completed(std::uint64_t Id) {
-  return Log.append(encodeCompleted(Id), /*Sync=*/false);
+  MutexLock Lock(Mu);
+  const bool Ok = Log.write(encodeCompleted(Id)).Seq != 0;
+  Spans.erase(Id);
+  boundLocked();
+  return Ok;
+}
+
+bool JobJournal::compact() {
+  MutexLock Lock(Mu);
+  return compactLocked();
+}
+
+void JobJournal::boundLocked() {
+  if (Log.bytes() > std::max(JournalCompactBytes, 2 * CompactedBytes))
+    compactLocked();
+}
+
+bool JobJournal::compactLocked() {
+  // File order is submission order; keep it.
+  std::vector<std::pair<std::uint64_t, FrameSpan>> Live(Spans.begin(),
+                                                        Spans.end());
+  std::sort(Live.begin(), Live.end(), [](const auto &A, const auto &B) {
+    return A.second.Offset < B.second.Offset;
+  });
+  std::vector<std::vector<std::uint8_t>> Frames;
+  Frames.reserve(Live.size());
+  for (const auto &[Id, Span] : Live) {
+    std::optional<std::vector<std::uint8_t>> Bytes =
+        readFileRange(Log.path(), Span.Offset, Span.Size);
+    FrameScan Scan;
+    if (Bytes)
+      Scan = scanFrames(*Bytes);
+    if (Scan.Payloads.size() != 1 || Scan.Damaged) {
+      // Keep the long file rather than drop an accepted job.
+      obs::log(obs::LogLevel::Warn, "persist",
+               "job journal compaction could not read a pending job back")
+          .kv("path", Log.path())
+          .kv("journal_id", Id);
+      CompactedBytes = Log.bytes();
+      return false;
+    }
+    Frames.push_back(std::move(Scan.Payloads.front()));
+  }
+  std::vector<std::uint64_t> Offsets;
+  const bool Ok = Log.rewrite(Frames, &Offsets);
+  if (Ok)
+    for (std::size_t I = 0; I < Live.size(); ++I)
+      Spans[Live[I].first].Offset = Offsets[I];
+  CompactedBytes = Log.bytes();
+  return Ok;
 }

@@ -4,8 +4,10 @@
 
 #include "mp/Serialize.h"
 #include "obs/Instruments.h"
+#include "obs/Log.h"
 #include "persist/Crc32.h"
 
+#include <algorithm>
 #include <utility>
 
 using namespace mutk;
@@ -110,33 +112,134 @@ Wal::ReplayResult Wal::replay() const {
   return Result;
 }
 
-bool Wal::append(const std::vector<std::uint8_t> &Payload, bool Sync) {
-  if (!Out.isOpen()) {
-    bool Fresh = fileSize(LogPath) == 0;
-    if (!Out.open(LogPath))
-      return false;
-    if (Fresh && !Out.append(headerFrame()))
-      return false;
+bool Wal::appendLocked(const std::vector<std::uint8_t> &Frame) {
+  if (Out.append(Frame)) {
+    End += Frame.size();
+    return true;
   }
-  std::vector<std::uint8_t> Frame;
-  Frame.reserve(8 + Payload.size());
-  appendFrame(Frame, Payload);
-  if (!Out.append(Frame))
+  // A short write can leave part of the frame behind; a later frame
+  // appended after it would be unreachable on replay.
+  if (!Out.truncate(End))
+    Refusing = true;
+  return false;
+}
+
+bool Wal::openLocked() {
+  if (Refusing)
     return false;
-  if (Sync && !Out.sync())
+  if (Out.isOpen())
+    return true;
+  if (!Out.open(LogPath))
     return false;
-  obs::PersistInstruments &I = obs::persistInstruments();
-  I.WalAppends.inc();
-  I.WalAppendBytes.inc(Frame.size());
+  End = fileSize(LogPath);
+  if (End == 0 && !appendLocked(headerFrame())) {
+    Out.close(); // reopen (and retry the header) on the next write
+    return false;
+  }
   return true;
 }
 
-bool Wal::rewrite(const std::vector<std::vector<std::uint8_t>> &Payloads) {
+Wal::Written Wal::write(const std::vector<std::uint8_t> &Payload) {
+  std::vector<std::uint8_t> Frame;
+  Frame.reserve(8 + Payload.size());
+  appendFrame(Frame, Payload);
+  Written W;
+  {
+    MutexLock Lock(Mu);
+    if (openLocked()) {
+      const std::uint64_t Offset = End;
+      if (appendLocked(Frame)) {
+        W.Seq = ++LastSeq;
+        W.Offset = Offset;
+      }
+    }
+  }
+  obs::PersistInstruments &I = obs::persistInstruments();
+  if (W.Seq == 0) {
+    I.WalAppendErrors.inc();
+    obs::log(obs::LogLevel::Warn, "persist", "WAL append failed")
+        .kv("path", LogPath);
+    return W;
+  }
+  I.WalAppends.inc();
+  I.WalAppendBytes.inc(Frame.size());
+  return W;
+}
+
+bool Wal::syncThrough(std::uint64_t Seq) {
+  MutexLock Lock(Mu);
+  for (;;) {
+    if (Seq <= DurableSeq)
+      return true;
+    if (!Flushing)
+      break;
+    // Wait out the flush in flight; if it covers Seq, its result is ours.
+    const std::uint64_t Done = FlushesDone;
+    const bool Covered = FlushTarget >= Seq;
+    while (FlushesDone == Done)
+      FlushDone.wait(Lock);
+    if (Covered && !LastFlushOk)
+      return false;
+  }
+  // Lead one flush over everything written so far. `rewrite()` waits
+  // for it before it closes the descriptor.
+  const std::uint64_t Target = LastSeq;
+  Flushing = true;
+  FlushTarget = Target;
+  const int Fd = Out.fd();
+  Lock.unlock();
+  const bool Ok = syncDescriptor(Fd);
+  obs::PersistInstruments &I = obs::persistInstruments();
+  I.WalSyncs.inc();
+  if (!Ok) {
+    I.WalAppendErrors.inc();
+    obs::log(obs::LogLevel::Warn, "persist", "WAL flush failed")
+        .kv("path", LogPath);
+  }
+  Lock.lock();
+  if (Ok)
+    DurableSeq = std::max(DurableSeq, Target);
+  Flushing = false;
+  ++FlushesDone;
+  LastFlushOk = Ok;
+  FlushDone.notify_all();
+  return Ok;
+}
+
+bool Wal::append(const std::vector<std::uint8_t> &Payload, bool Sync) {
+  const Written W = write(Payload);
+  return W.Seq != 0 && (!Sync || syncThrough(W.Seq));
+}
+
+std::uint64_t Wal::lastSeq() const {
+  MutexLock Lock(Mu);
+  return LastSeq;
+}
+
+std::uint64_t Wal::bytes() const {
+  MutexLock Lock(Mu);
+  return Out.isOpen() ? End : fileSize(LogPath);
+}
+
+bool Wal::rewrite(const std::vector<std::vector<std::uint8_t>> &Payloads,
+                  std::vector<std::uint64_t> *Offsets) {
   std::vector<std::uint8_t> Bytes = headerFrame();
-  for (const std::vector<std::uint8_t> &Payload : Payloads)
+  if (Offsets)
+    Offsets->clear();
+  for (const std::vector<std::uint8_t> &Payload : Payloads) {
+    if (Offsets)
+      Offsets->push_back(Bytes.size());
     appendFrame(Bytes, Payload);
+  }
+  MutexLock Lock(Mu);
+  while (Flushing)
+    FlushDone.wait(Lock);
+  if (!writeFileAtomic(LogPath, Bytes))
+    return false;
   // The O_APPEND descriptor (if any) still points at the replaced inode;
-  // close it so the next append reopens the new file.
+  // close it so the next write reopens the new file.
   Out.close();
-  return writeFileAtomic(LogPath, Bytes);
+  DurableSeq = LastSeq;
+  Refusing = false;
+  return true;
 }

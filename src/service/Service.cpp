@@ -186,17 +186,12 @@ void TreeService::recoverState() {
   // Re-enqueue jobs that were accepted but never answered. Their
   // requesters are gone, so nobody reads the promises — the value of
   // finishing is the durable cache entry the solve will produce.
-  std::vector<persist::PendingJob> Pending;
-  {
-    MutexLock Lock(PersistMu);
-    Pending = Journal->load();
-  }
+  std::vector<persist::PendingJob> Pending = Journal->load();
   std::uint64_t MaxId = 0;
   for (persist::PendingJob &P : Pending) {
     MaxId = std::max(MaxId, P.Id);
     std::optional<Request> Req = decodeRequest(P.EncodedRequest);
     if (!Req || Req->V != Verb::Build) {
-      MutexLock Lock(PersistMu);
       Journal->completed(P.Id);
       continue;
     }
@@ -210,7 +205,6 @@ void TreeService::recoverState() {
     obs::log(obs::LogLevel::Info, "service", "re-enqueued interrupted job")
         .kv("journal_id", P.Id);
     if (!Queue.push(std::move(J))) {
-      MutexLock Lock(PersistMu);
       Journal->completed(P.Id);
       continue;
     }
@@ -220,22 +214,25 @@ void TreeService::recoverState() {
   NextJobId.store(MaxId + 1, std::memory_order_relaxed);
 }
 
-void TreeService::persistSolution(std::uint64_t Key,
-                                  const CachedSolution &Value) {
-  if (!Store)
-    return;
+std::uint64_t TreeService::storeSolution(std::uint64_t Key,
+                                         CachedSolution Value) {
+  if (!Store) {
+    Cache.store(Key, std::move(Value));
+    return 0;
+  }
   persist::DurableCacheRecord Rec = toDurableRecord(Key, Value);
   MutexLock Lock(PersistMu);
-  Store->append(Rec, Options.SyncWrites);
+  const std::uint64_t Seq = Store->write(Rec);
+  Cache.store(Key, std::move(Value));
   if (Options.WalCompactBytes != 0 &&
       Store->walBytes() > Options.WalCompactBytes)
     Store->compact(toDurableRecords(Cache.entries()));
+  return Seq;
 }
 
 void TreeService::journalCompleted(std::uint64_t JournalId) {
   if (!Journal || JournalId == 0)
     return;
-  MutexLock Lock(PersistMu);
   Journal->completed(JournalId);
 }
 
@@ -391,9 +388,7 @@ std::future<BuildResponse> TreeService::submitAsync(BuildRequest Request) {
     // worker may already be solving it, and `Completed(id)` must never
     // reach the journal ahead of `Submitted(id)`.
     J.JournalId = NextJobId.fetch_add(1, std::memory_order_relaxed);
-    std::vector<std::uint8_t> Encoded = encodeBuildRequest(J.Request);
-    MutexLock Lock(PersistMu);
-    Journal->submitted(J.JournalId, Encoded);
+    Journal->submitted(J.JournalId, encodeBuildRequest(J.Request));
   }
 
   // Rich tickets only under QoS: with the layer off every ticket is the
@@ -525,6 +520,10 @@ void TreeService::stop() {
     MutexLock PLock(PersistMu);
     Store->compact(toDurableRecords(Cache.entries()));
   }
+  if (Journal) {
+    // Every job is answered by now; this leaves an empty journal.
+    Journal->compact();
+  }
 }
 
 void TreeService::setClusterStats(std::function<std::string()> Fn) {
@@ -619,8 +618,9 @@ TreeService::cacheLookup(std::uint64_t Key,
 void TreeService::cacheStore(std::uint64_t Key, CachedSolution Value) {
   if (Options.CacheCapacity == 0)
     return;
-  persistSolution(Key, Value);
-  Cache.store(Key, std::move(Value));
+  const std::uint64_t Seq = storeSolution(Key, std::move(Value));
+  if (Store && Options.SyncWrites)
+    Store->syncThrough(Seq);
 }
 
 void TreeService::workerLoop() {
@@ -647,6 +647,12 @@ void TreeService::workerLoop() {
     // The tier/prediction echo must survive the exception paths too.
     Resp.Tier = J->Tier;
     Resp.PredictedMillis = J->PredictedMillis;
+    if (Store && Options.SyncWrites) {
+      // Group commit: every cache record this answer can depend on (its
+      // own, or another request's it hit) was written before it entered
+      // the cache, so one wait for the WAL's current end covers them.
+      Store->syncThrough(Store->lastSeq());
+    }
     Obs.InFlight.sub(1);
     InFlightJobs.fetch_sub(1, std::memory_order_relaxed);
     if (Options.Qos.Enabled) {
@@ -858,10 +864,9 @@ BuildResponse TreeService::process(const Job &J) {
     Entry.Exact = Resp.Exact;
     Entry.Bytes = std::move(Identity);
     Entry.Tree = SolvedTree.relabeled(Form.inversePerm());
-    persistSolution(Key, Entry);
     if (DistCache *Cluster = Remote.load(std::memory_order_acquire))
       Cluster->insert(Key, Entry, CacheTier::Whole);
-    Cache.store(Key, std::move(Entry));
+    storeSolution(Key, std::move(Entry));
   }
   return Resp;
 }
@@ -955,7 +960,6 @@ BuildResponse TreeService::solveFresh(const DistanceMatrix &M,
       Value.Exact = Entry.Exact;
       Value.Block = true;
       Value.Bytes = Bytes;
-      persistSolution(Key, Value);
       if (DistCache *Cluster = Remote.load(std::memory_order_acquire)) {
         if (canonicalSpeciesCount(Bytes) >= RemoteBlockMinSize) {
           BC.RemoteInserts.inc();
@@ -963,7 +967,7 @@ BuildResponse TreeService::solveFresh(const DistanceMatrix &M,
         }
       }
       BC.Inserts.inc();
-      Cache.store(Key, std::move(Value));
+      storeSolution(Key, std::move(Value));
     };
     Pipeline.BlockCache = &Hooks;
   }

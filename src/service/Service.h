@@ -129,8 +129,10 @@ struct ServiceOptions {
   /// Compact the durable cache early once its WAL exceeds this many
   /// bytes (0 = compact only on shutdown).
   std::uint64_t WalCompactBytes = 8u << 20;
-  /// fdatasync each durable-cache append. Durable by default; switch
-  /// off to trade crash-durability of the newest records for latency.
+  /// Sync the durable cache's records before any answer or cluster
+  /// insert that depends on them (one group-committed fdatasync per
+  /// answer at most). Durable by default; switch off to trade
+  /// crash-durability of the newest records for latency.
   /// The job journal ignores it: `Submitted` records always sync,
   /// `Completed` marks never do.
   bool SyncWrites = true;
@@ -271,7 +273,14 @@ private:
 
   void workerLoop();
   void recoverState();
-  void persistSolution(std::uint64_t Key, const CachedSolution &Value);
+  /// Inserts \p Value into the cache. With a state dir its durable
+  /// record is written first, unsynced, in one `PersistMu` section with
+  /// the insertion and the early-compaction decision, so a compaction
+  /// snapshot holds every cached record of the WAL it truncates.
+  /// \returns the record's WAL sequence number (0 without a state dir
+  /// or when the write failed).
+  std::uint64_t storeSolution(std::uint64_t Key, CachedSolution Value)
+      MUTK_EXCLUDES(PersistMu);
   void journalCompleted(std::uint64_t JournalId);
   /// Answers a job a worker or a peer solved: counts it completed or
   /// failed, records its end-to-end latency, then resolves it.
@@ -309,13 +318,14 @@ private:
   /// reaches while draining).
   Mutex StopMu{"service.stop"};
 
-  /// Persistence (null when `Options.StateDir` is empty). `PersistMu`
-  /// serializes every durable append/compaction — the WAL classes are
-  /// not thread-safe and workers store concurrently. The pointers are
-  /// set once before the workers exist; the streams behind them are the
-  /// guarded state.
-  std::unique_ptr<persist::CacheStore> Store MUTK_PT_GUARDED_BY(PersistMu);
-  std::unique_ptr<persist::JobJournal> Journal MUTK_PT_GUARDED_BY(PersistMu);
+  /// Persistence (null when `Options.StateDir` is empty). Both stores
+  /// are internally locked and group-commit their syncs. `PersistMu`
+  /// orders the cache store's writes, loads and compactions with the
+  /// in-memory cache they mirror (`storeSolution`); waits for
+  /// durability run outside it. The pointers are set once before the
+  /// workers exist.
+  std::unique_ptr<persist::CacheStore> Store;
+  std::unique_ptr<persist::JobJournal> Journal;
   Mutex PersistMu{"service.persist"};
   std::atomic<std::uint64_t> NextJobId{1};
   BlockCheckpointHooks CheckpointHooks;
