@@ -11,13 +11,29 @@ using namespace mutk;
 
 namespace {
 
-std::uint64_t fnv1a(const std::vector<std::uint8_t> &Bytes) {
-  std::uint64_t Hash = 1469598103934665603ull;
-  for (std::uint8_t B : Bytes) {
-    Hash ^= B;
-    Hash *= 1099511628211ull;
-  }
-  return Hash;
+/// xxHash64's primes (`hashBytes`).
+constexpr std::uint64_t P1 = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t P2 = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t P4 = 0x85ebca77c2b2ae63ull;
+constexpr std::uint64_t P5 = 0x27d4eb2f165667c5ull;
+
+/// xxHash64's round: one word into one lane.
+std::uint64_t xxRound(std::uint64_t Lane, std::uint64_t Word) {
+  return std::rotl(Lane + Word * P2, 31) * P1;
+}
+
+/// The little-endian 8-byte word at \p At.
+std::uint64_t wordAt(const std::uint8_t *At) {
+  std::uint64_t Word = 0;
+  std::memcpy(&Word, At, sizeof(Word));
+  if constexpr (std::endian::native == std::endian::big)
+    Word = __builtin_bswap64(Word);
+  return Word;
+}
+
+/// Folds one tail word into \p Hash.
+std::uint64_t foldTail(std::uint64_t Hash, std::uint64_t Word) {
+  return std::rotl(Hash ^ xxRound(0, Word), 27) * P1 + P4;
 }
 
 /// The bit pattern of \p Value: zeros of either sign compare equal as
@@ -169,8 +185,45 @@ CanonicalForm mutk::canonicalForm(const DistanceMatrix &M) {
     }
   }
   Form.Bytes = canonicalBytes(M, Form.Perm);
-  Form.Key = fnv1a(Form.Bytes);
+  Form.Key = hashBytes(Form.Bytes);
   return Form;
+}
+
+std::uint64_t mutk::hashBytes(std::span<const std::uint8_t> Bytes) {
+  const std::uint8_t *At = Bytes.data();
+  const std::uint8_t *const End = At + Bytes.size();
+  std::uint64_t Hash = P5;
+  if (Bytes.size() >= 32) {
+    // Four independent multiply chains keep the multiplier busy; one
+    // chain would wait out each multiply's latency.
+    std::uint64_t A = P1 + P2, B = P2, C = 0, D = 0 - P1;
+    for (; End - At >= 32; At += 32) {
+      A = xxRound(A, wordAt(At));
+      B = xxRound(B, wordAt(At + 8));
+      C = xxRound(C, wordAt(At + 16));
+      D = xxRound(D, wordAt(At + 24));
+    }
+    Hash = std::rotl(A, 1) + std::rotl(B, 7) + std::rotl(C, 12) +
+           std::rotl(D, 18);
+    for (std::uint64_t Lane : {A, B, C, D})
+      Hash = (Hash ^ xxRound(0, Lane)) * P1 + P4;
+  }
+  Hash += Bytes.size();
+  for (; End - At >= 8; At += 8)
+    Hash = foldTail(Hash, wordAt(At));
+  if (At != End) {
+    std::uint64_t Word = 0;
+    for (int Shift = 0; At != End; Shift += 8)
+      Word |= std::uint64_t{*At++} << Shift;
+    Hash = foldTail(Hash, Word);
+  }
+  // murmur3's fmix64.
+  Hash ^= Hash >> 33;
+  Hash *= 0xff51afd7ed558ccdull;
+  Hash ^= Hash >> 33;
+  Hash *= 0xc4ceb9fe1a85ec53ull;
+  Hash ^= Hash >> 33;
+  return Hash;
 }
 
 std::vector<int> CanonicalForm::inversePerm() const {

@@ -32,13 +32,15 @@
 #include "matrix/DistanceMatrix.h"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace mutk {
 
 /// The canonical form of a matrix under taxon relabeling.
 struct CanonicalForm {
-  /// 64-bit FNV-1a hash of `Bytes` (fast shard/bucket selector).
+  /// `hashBytes(Bytes)`: the cache key, shard selector and checkpoint
+  /// name of the form.
   std::uint64_t Key = 0;
   /// Maxmin permutation used: canonical index `k` is original index
   /// `Perm[k]`.
@@ -54,11 +56,26 @@ struct CanonicalForm {
 
 /// Computes the canonical form of \p M: one O(n^2) maxmin sweep per tied
 /// farthest pair (at most 16), candidate comparisons that stop at the
-/// first distance that differs, then one encode and one byte-serial
-/// FNV-1a pass over the winner's 8 n(n-1)/2 bytes. The FNV pass is the
-/// floor: at n = 256 it takes about 400 of the call's 600 us (Release,
-/// 4-vCPU shared host).
+/// first distance that differs, then one encode and one `hashBytes` pass
+/// over the winner's 4 + 8 n(n-1)/2 bytes.
 CanonicalForm canonicalForm(const DistanceMatrix &M);
+
+/// The 64-bit hash that keys canonical forms. It is part of the on-disk
+/// format: cache records, checkpoint names (`ckpt/<key>.ckpt`) and the
+/// cluster's key-to-owner map all derive from it, so changing it is a
+/// cache format change (docs/ALGORITHMS.md §10).
+///
+/// The input is read as little-endian 8-byte words, and P1..P5 are
+/// xxHash64's primes. Each 32-byte stripe feeds one word to each of four
+/// independent lanes, seeded as xxHash64's with seed 0, through its round
+/// `round(Lane, Word) = rotl(Lane + Word * P2, 31) * P1`. The lanes are
+/// merged as in xxHash64 (an input shorter than 32 bytes starts from P5
+/// instead), the length is added, and the 0-31 tail bytes follow as
+/// whole words and then one zero-padded partial word, each through
+/// `Hash = rotl(Hash ^ round(0, Word), 27) * P1 + P4`. murmur3's
+/// `fmix64` finalizer then spreads every input bit over all 64 key bits,
+/// high and low, for the cache's shard choice and the cluster ring.
+std::uint64_t hashBytes(std::span<const std::uint8_t> Bytes);
 
 /// Shorthand for `canonicalForm(M).Key`: a relabeling-invariant 64-bit
 /// fingerprint (collisions possible; compare `Bytes` before trusting it).

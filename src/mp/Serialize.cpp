@@ -280,8 +280,8 @@ constexpr std::uint8_t TreeTagLeaf = 0;
 constexpr std::uint8_t TreeTagInternal = 1;
 
 /// Decoded trees are bounded so a hostile payload cannot blow the heap
-/// or the recursion stack (the service species cap is 4096; this leaves
-/// ample headroom for standalone library users).
+/// (the service species cap is 4096; this leaves ample headroom for
+/// standalone library users).
 constexpr std::uint32_t MaxTreeNodes = 1u << 20;
 
 void writeTreeNode(ByteWriter &Writer, const PhyloTree &Tree, int Index) {
@@ -297,33 +297,43 @@ void writeTreeNode(ByteWriter &Writer, const PhyloTree &Tree, int Index) {
   writeTreeNode(Writer, Tree, N.Right);
 }
 
-/// Rebuilds one subtree bottom-up (children become roots before their
-/// parent adopts them, matching `addInternal`'s contract). \returns the
-/// new node index or -1 on malformed input.
-int readTreeNode(ByteReader &Reader, PhyloTree &Tree, std::uint32_t &Nodes) {
-  if (++Nodes > MaxTreeNodes)
-    return -1;
-  std::uint8_t Tag;
-  if (!Reader.readU8(Tag))
-    return -1;
-  if (Tag == TreeTagLeaf) {
-    std::int32_t Species;
-    if (!Reader.readI32(Species) || Species < 0)
+/// Rebuilds a pre-order encoded tree bottom-up (children become roots
+/// before their parent adopts them, matching `addInternal`'s contract).
+/// An explicit stack holds the internal nodes still waiting for a child,
+/// so a deep tree costs heap, not call stack. \returns the root's node
+/// index or -1 on malformed input.
+int readTreeNodes(ByteReader &Reader, PhyloTree &Tree) {
+  struct Open {
+    double Height;
+    int Left; ///< The finished left child, -1 while it is being read.
+  };
+  std::vector<Open> Stack;
+  for (std::uint32_t Nodes = 0; Nodes < MaxTreeNodes; ++Nodes) {
+    std::uint8_t Tag = 0;
+    if (!Reader.readU8(Tag))
       return -1;
-    return Tree.addLeaf(Species);
+    if (Tag == TreeTagInternal) {
+      double Height = 0.0;
+      if (!Reader.readF64(Height) || !(Height == Height)) // reject NaN
+        return -1;
+      Stack.push_back({Height, -1});
+      continue;
+    }
+    std::int32_t Species = 0;
+    if (Tag != TreeTagLeaf || !Reader.readI32(Species) || Species < 0)
+      return -1;
+    // A finished subtree completes every parent whose left child is
+    // already done, then becomes the left child of the next one up.
+    int Done = Tree.addLeaf(Species);
+    while (!Stack.empty() && Stack.back().Left >= 0) {
+      Done = Tree.addInternal(Stack.back().Left, Done, Stack.back().Height);
+      Stack.pop_back();
+    }
+    if (Stack.empty())
+      return Done;
+    Stack.back().Left = Done;
   }
-  if (Tag != TreeTagInternal)
-    return -1;
-  double Height;
-  if (!Reader.readF64(Height) || !(Height == Height)) // reject NaN
-    return -1;
-  int Left = readTreeNode(Reader, Tree, Nodes);
-  if (Left < 0)
-    return -1;
-  int Right = readTreeNode(Reader, Tree, Nodes);
-  if (Right < 0)
-    return -1;
-  return Tree.addInternal(Left, Right, Height);
+  return -1;
 }
 
 } // namespace
@@ -343,8 +353,7 @@ bool mutk::readPhyloTree(ByteReader &Reader, PhyloTree &Tree) {
   if (!Reader.readU8(HasRoot) || HasRoot > 1)
     return false;
   if (HasRoot) {
-    std::uint32_t Nodes = 0;
-    int Root = readTreeNode(Reader, Tree, Nodes);
+    int Root = readTreeNodes(Reader, Tree);
     if (Root < 0)
       return false;
     Tree.setRoot(Root);

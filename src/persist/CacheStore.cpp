@@ -6,15 +6,47 @@
 #include "obs/Instruments.h"
 #include "obs/Log.h"
 
+#include <algorithm>
+
 using namespace mutk;
 using namespace mutk::persist;
 
 namespace {
-// Version 2 added the namespace byte (whole-matrix vs block tier).
-// Version-1 state recovers as a documented cold start — the Wal header
-// check rejects it wholesale, which is the intended behavior for a
-// format change.
-constexpr std::uint32_t CacheFormatVersion = 2;
+// Version 2 added the namespace byte (whole-matrix vs block tier), and
+// version 3 keys records by `hashBytes` instead of FNV-1a. Older state
+// recovers as a documented cold start — the Wal header check rejects it
+// wholesale, which is the intended behavior for a format change.
+constexpr std::uint32_t CacheFormatVersion = 3;
+
+/// A whole-matrix identity is the canonical bytes plus two knob bytes
+/// (condense mode, polish; `wholeCacheBytes` in service/Service.cpp); a
+/// block identity is the canonical bytes.
+constexpr std::size_t WholeKnobBytes = 2;
+
+/// True when \p Rec is shaped like a record the service writes: its
+/// canonical bytes are exactly as long as their species-count header
+/// implies (4 + 8 n(n-1)/2), and its tree's leaves are exactly the
+/// canonical labels 0..n-1 — which also bounds the tree's depth by n
+/// for every recursive walk of it.
+bool consistent(const DurableCacheRecord &Rec) {
+  ByteReader Header(Rec.CanonicalBytes);
+  std::uint32_t N = 0;
+  // Past 2^16 species no u32-length blob is long enough, and the size
+  // below could overflow.
+  if (!Header.readU32(N) || N > (1u << 16))
+    return false;
+  const std::uint64_t Pairs = N < 2 ? 0 : std::uint64_t{N} * (N - 1) / 2;
+  const std::size_t Knobs =
+      Rec.Space == CacheNamespace::Whole ? WholeKnobBytes : 0;
+  if (Rec.CanonicalBytes.size() != 4 + 8 * Pairs + Knobs)
+    return false;
+  // `readPhyloTree` already rejected repeated labels, so n leaves below
+  // n are exactly 0..n-1.
+  std::vector<int> Species = Rec.Tree.allSpecies();
+  return Species.size() == N &&
+         std::all_of(Species.begin(), Species.end(),
+                     [&](int S) { return static_cast<std::uint32_t>(S) < N; });
+}
 } // namespace
 
 std::vector<std::uint8_t>
@@ -44,6 +76,8 @@ mutk::persist::decodeCacheRecord(const std::vector<std::uint8_t> &Bytes) {
     return std::nullopt;
   Rec.Exact = Exact != 0;
   Rec.Space = static_cast<CacheNamespace>(Space);
+  if (!consistent(Rec))
+    return std::nullopt;
   return Rec;
 }
 

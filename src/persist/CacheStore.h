@@ -40,8 +40,8 @@ enum class CacheNamespace : std::uint8_t {
 /// One durable cache entry (canonical-label tree + identity bytes).
 struct DurableCacheRecord {
   std::uint64_t Key = 0;
-  /// Canonical matrix bytes (exact identity; empty only for salted
-  /// whole-matrix keys whose identity bytes live elsewhere).
+  /// Canonical matrix bytes (exact identity), followed in a whole-matrix
+  /// record by the two knob bytes that key it (condense mode, polish).
   std::vector<std::uint8_t> CanonicalBytes;
   PhyloTree Tree;
   double Cost = 0.0;
@@ -50,6 +50,10 @@ struct DurableCacheRecord {
 };
 
 std::vector<std::uint8_t> encodeCacheRecord(const DurableCacheRecord &Rec);
+/// Decodes a record from the WAL, the snapshot or a peer. nullopt on
+/// malformed bytes, and on a record the service could not have written:
+/// canonical bytes whose length disagrees with their species-count
+/// header, or a tree whose leaves are not exactly 0..n-1.
 std::optional<DurableCacheRecord>
 decodeCacheRecord(const std::vector<std::uint8_t> &Bytes);
 

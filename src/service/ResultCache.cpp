@@ -72,8 +72,9 @@ void ShardedLruCache::count(const Shard &S, Event E) {
 }
 
 ShardedLruCache::Shard &ShardedLruCache::shardFor(std::uint64_t Key) {
-  // The key is already an FNV hash; fold the high bits in so shard
-  // selection does not just reuse the low bits the index hashes with.
+  // The key is a `hashBytes` hash, mixed in every bit; fold the high
+  // bits in so shard selection does not just reuse the low bits the
+  // index hashes with.
   std::uint64_t Mixed = Key ^ (Key >> 32);
   return *Shards[static_cast<std::size_t>(Mixed % Shards.size())];
 }

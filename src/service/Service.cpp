@@ -74,17 +74,6 @@ std::uint64_t wholeCacheKey(const CanonicalForm &Form,
   return Key;
 }
 
-/// FNV-1a over an encoded request frame; the coalescing flight key
-/// (collisions are identity-checked by the coalescer, never trusted).
-std::uint64_t coalesceKeyOf(const std::vector<std::uint8_t> &Bytes) {
-  std::uint64_t H = 1469598103934665603ull;
-  for (std::uint8_t B : Bytes) {
-    H ^= B;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
 /// The scheduling ticket a request earns: wire priority, absolute
 /// deadline and fair-share tenant. Default request fields yield the
 /// all-equal ticket that keeps the ready queue a plain FIFO.
@@ -363,12 +352,13 @@ std::future<BuildResponse> TreeService::submitAsync(BuildRequest Request) {
       // Flight identity: the encoded request with scheduling-only
       // fields normalized out (priority and tenant change *when* a job
       // runs, never its answer; the deadline stays — it bounds the
-      // node budget and thus the tree).
+      // node budget and thus the tree). Its hash is the flight key;
+      // the coalescer checks every collision against the identity.
       BuildRequest Norm = J.Request;
       Norm.Priority = RequestPriority::Normal;
       Norm.Tenant.clear();
       std::vector<std::uint8_t> Identity = encodeBuildRequest(Norm);
-      std::uint64_t Key = coalesceKeyOf(Identity);
+      std::uint64_t Key = hashBytes(Identity);
       bool Tracked = true;
       qos::Coalescer::Attach A = Coalesce.attach(Key, Identity, &Tracked);
       if (!A.Leader) {

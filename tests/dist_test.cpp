@@ -635,13 +635,14 @@ TEST(Cluster, StatsJsonCarriesClusterSection) {
 }
 
 TEST(Cluster, CacheEntryCodecRoundTrip) {
-  MutResult Solved = solveMutSequential(uniformRandomMetric(8, 2));
+  DistanceMatrix M = uniformRandomMetric(8, 2);
+  MutResult Solved = solveMutSequential(M);
   CachedSolution Value;
   Value.Tree = Solved.Tree;
   Value.Cost = Solved.Cost;
   Value.Exact = true;
   Value.Block = true;
-  Value.Bytes = {1, 2, 3, 4, 5};
+  Value.Bytes = canonicalForm(M).Bytes;
   // The CacheHit/CacheInsert body is the durable cache record encoding.
   std::vector<std::uint8_t> Encoded =
       persist::encodeCacheRecord(toDurableRecord(77, Value));
@@ -664,12 +665,17 @@ TEST(Cluster, ShardedLookupServesRemoteInsert) {
   ThreeNodeCluster C;
   ASSERT_TRUE(waitFor(10.0, [&] { return C.allAlive(); }));
 
-  MutResult Solved = solveMutSequential(uniformRandomMetric(8, 4));
+  DistanceMatrix M = uniformRandomMetric(8, 4);
+  MutResult Solved = solveMutSequential(M);
   CachedSolution Value;
   Value.Tree = Solved.Tree;
   Value.Cost = Solved.Cost;
   Value.Exact = true;
-  Value.Bytes = {10, 20, 30};
+  // The owner decodes the forwarded entry as untrusted input, so it
+  // carries the tree's own identity: canonical bytes and the two
+  // whole-matrix knob bytes.
+  Value.Bytes = canonicalForm(M).Bytes;
+  Value.Bytes.insert(Value.Bytes.end(), {0, 0});
 
   // A key node 1 owns, seen identically from node 0.
   std::uint64_t Key = 1;

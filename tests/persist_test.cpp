@@ -118,7 +118,8 @@ void truncateTail(const std::string &Path, std::size_t N) {
   ASSERT_TRUE(persist::writeFileAtomic(Path, *Bytes));
 }
 
-/// A realistic durable record: a solved small matrix in canonical form.
+/// A realistic durable record: a solved small matrix in canonical form,
+/// its identity followed by the whole-matrix knob bytes (mode, polish).
 persist::DurableCacheRecord makeRecord(std::uint64_t Seed) {
   DistanceMatrix M = uniformRandomMetric(6, Seed);
   CanonicalForm Form = canonicalForm(M);
@@ -126,6 +127,7 @@ persist::DurableCacheRecord makeRecord(std::uint64_t Seed) {
   persist::DurableCacheRecord Rec;
   Rec.Key = Form.Key;
   Rec.CanonicalBytes = Form.Bytes;
+  Rec.CanonicalBytes.insert(Rec.CanonicalBytes.end(), {0, 0});
   Rec.Tree = R.Tree;
   Rec.Cost = R.Cost;
   Rec.Exact = true;
@@ -384,21 +386,110 @@ TEST(CacheStore, DamagedWalTailIsSkippedLoggedAndRepaired) {
 }
 
 TEST(CacheStore, IncompatibleStateStartsCold) {
-  ScratchDir Dir("store_cold");
-  // A WAL written by a future format version must not be interpreted.
-  {
-    persist::Wal Future(Dir.file("cache.wal"), "MUTKCWAL", 999);
-    Future.append(persist::encodeCacheRecord(makeRecord(1)), true);
+  // A WAL written by a future format version, or by the previous one
+  // (version 2 keyed records by FNV-1a), must not be interpreted.
+  for (std::uint32_t Version : {999u, 2u}) {
+    SCOPED_TRACE(Version);
+    ScratchDir Dir("store_cold");
+    {
+      persist::Wal Other(Dir.file("cache.wal"), "MUTKCWAL", Version);
+      Other.append(persist::encodeCacheRecord(makeRecord(1)), true);
+    }
+    LogCapture Capture;
+    persist::CacheStore Store(Dir.path());
+    persist::CacheStore::LoadResult Load = Store.load();
+    EXPECT_TRUE(Load.ColdStart);
+    EXPECT_TRUE(Load.Records.empty());
+    EXPECT_TRUE(Capture.contains("starting cold"));
+    // The store is usable immediately after the reset.
+    ASSERT_TRUE(Store.append(makeRecord(2)));
+    EXPECT_EQ(Store.load().Records.size(), 1u);
   }
-  LogCapture Capture;
+}
+
+// A record is untrusted input: one whose tree names a leaf the matrix
+// does not have (an 8-species record with a leaf labelled 8), or whose
+// identity is not as long as its size header says, must not decode —
+// a replay would index past the permutation. It is a dropped record at
+// load, as a bad CRC is.
+TEST(CacheStore, RecordOutsideItsSpeciesIsDropped) {
+  DistanceMatrix M = uniformRandomMetric(8, 12);
+  CanonicalForm Form = canonicalForm(M);
+  persist::DurableCacheRecord Good;
+  Good.Key = Form.Key;
+  Good.CanonicalBytes = Form.Bytes;
+  Good.CanonicalBytes.insert(Good.CanonicalBytes.end(), {0, 0});
+  Good.Tree = solveMutSequential(M).Tree.relabeled(Form.inversePerm());
+  Good.Cost = 1.0;
+  ASSERT_TRUE(
+      persist::decodeCacheRecord(persist::encodeCacheRecord(Good)).has_value());
+
+  std::vector<persist::DurableCacheRecord> Bad;
+  for (int Label : {8, 100000000}) {
+    std::vector<int> Map(8);
+    std::iota(Map.begin(), Map.end(), 0);
+    Map[3] = Label;
+    Bad.push_back(Good);
+    Bad.back().Tree = Good.Tree.relabeled(Map);
+  }
+  Bad.push_back(Good); // a knob byte short
+  Bad.back().CanonicalBytes.pop_back();
+  Bad.push_back(Good); // a block record carries no knob bytes
+  Bad.back().Space = persist::CacheNamespace::Block;
+  for (const persist::DurableCacheRecord &Rec : Bad)
+    EXPECT_FALSE(
+        persist::decodeCacheRecord(persist::encodeCacheRecord(Rec)).has_value())
+        << toNewick(Rec.Tree) << ", " << Rec.CanonicalBytes.size() << " bytes";
+
+  ScratchDir Dir("store_foreign");
   persist::CacheStore Store(Dir.path());
+  for (const persist::DurableCacheRecord &Rec : Bad)
+    ASSERT_TRUE(Store.append(Rec));
+  ASSERT_TRUE(Store.append(Good));
   persist::CacheStore::LoadResult Load = Store.load();
-  EXPECT_TRUE(Load.ColdStart);
-  EXPECT_TRUE(Load.Records.empty());
-  EXPECT_TRUE(Capture.contains("starting cold"));
-  // The store is usable immediately after the reset.
-  ASSERT_TRUE(Store.append(makeRecord(2)));
-  EXPECT_EQ(Store.load().Records.size(), 1u);
+  EXPECT_EQ(Load.DroppedRecords, Bad.size());
+  ASSERT_EQ(Load.Records.size(), 1u);
+  EXPECT_EQ(Load.Records[0].Key, Good.Key);
+}
+
+// A 200,000-deep caterpillar is a 2.8 MB record, well under the frame
+// cap. Decoding it must not recurse once per level: on an 8 MB thread
+// stack that overflowed. The tree itself decodes (MP solutions and
+// checkpoints share the decoder); as a cache record it is rejected.
+TEST(CacheStore, DeepTreeRecordIsRejectedWithoutACrash) {
+  constexpr int Depth = 200000;
+  ByteWriter Caterpillar;
+  Caterpillar.writeU8(1); // has a root
+  for (int I = 0; I < Depth; ++I) {
+    Caterpillar.writeU8(1); // internal: height, left leaf, then the rest
+    Caterpillar.writeF64(static_cast<double>(Depth - I));
+    Caterpillar.writeU8(0);
+    Caterpillar.writeI32(I);
+  }
+  Caterpillar.writeU8(0);
+  Caterpillar.writeI32(Depth);
+  Caterpillar.writeU32(0); // no names
+
+  ByteWriter Record;
+  Record.writeU64(1);
+  Record.writeBytes(canonicalForm(uniformRandomMetric(6, 1)).Bytes);
+  Record.writeF64(1.0);
+  Record.writeU8(1);
+  Record.writeU8(static_cast<std::uint8_t>(persist::CacheNamespace::Block));
+  const std::vector<std::uint8_t> TreeBytes = Caterpillar.take();
+  std::vector<std::uint8_t> RecordBytes = Record.take();
+  RecordBytes.insert(RecordBytes.end(), TreeBytes.begin(), TreeBytes.end());
+  ASSERT_GT(RecordBytes.size(), 2'800'000u);
+
+  std::optional<PhyloTree> Decoded;
+  bool RecordDecoded = true;
+  std::thread([&] {
+    Decoded = decodePhyloTree(TreeBytes);
+    RecordDecoded = persist::decodeCacheRecord(RecordBytes).has_value();
+  }).join();
+  ASSERT_TRUE(Decoded.has_value());
+  EXPECT_EQ(Decoded->numLeaves(), Depth + 1);
+  EXPECT_FALSE(RecordDecoded);
 }
 
 //===----------------------------------------------------------------------===//

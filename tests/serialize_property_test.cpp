@@ -80,13 +80,6 @@ SearchCheckpoint randomCheckpoint(const DistanceMatrix &M, Rng &R) {
   return Ck;
 }
 
-std::vector<std::uint8_t> randomBytes(Rng &R, std::size_t MaxLen) {
-  std::vector<std::uint8_t> Out(R.below(MaxLen + 1));
-  for (std::uint8_t &B : Out)
-    B = static_cast<std::uint8_t>(R.next());
-  return Out;
-}
-
 void expectTopologyEq(const Topology &A, const Topology &B) {
   ASSERT_EQ(A.numNodes(), B.numNodes());
   EXPECT_EQ(A.numPlaced(), B.numPlaced());
@@ -608,7 +601,11 @@ TEST(CacheEntryCodec, RandomRoundTrips) {
     // The namespace flag must survive the wire: the receiver validates
     // it against the probed tier (whole vs block).
     Value.Block = (R.next() & 1) != 0;
-    Value.Bytes = randomBytes(R, 200);
+    // The tree's own identity: its matrix's canonical bytes, which a
+    // whole-matrix entry follows with its two knob bytes.
+    Value.Bytes = canonicalForm(M).Bytes;
+    if (!Value.Block)
+      Value.Bytes.insert(Value.Bytes.end(), {0, 0});
     std::uint64_t Key = R.next();
 
     std::optional<persist::DurableCacheRecord> Rec = persist::decodeCacheRecord(
@@ -625,13 +622,14 @@ TEST(CacheEntryCodec, RandomRoundTrips) {
 }
 
 TEST(CacheEntryCodec, CorruptionIsRejectedOrHarmless) {
-  Rng R(77);
-  MutResult Solved = solveMutSequential(uniformRandomMetric(8, 7));
+  DistanceMatrix M = uniformRandomMetric(8, 7);
+  MutResult Solved = solveMutSequential(M);
   CachedSolution Value;
   Value.Tree = Solved.Tree;
   Value.Cost = Solved.Cost;
   Value.Exact = true;
-  Value.Bytes = randomBytes(R, 64);
+  Value.Bytes = canonicalForm(M).Bytes;
+  Value.Bytes.insert(Value.Bytes.end(), {0, 0}); // whole-matrix knobs
   std::vector<std::uint8_t> Bytes =
       persist::encodeCacheRecord(toDurableRecord(99, Value));
   for (std::size_t Len = 0; Len < Bytes.size(); ++Len) {

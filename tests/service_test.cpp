@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -34,6 +35,7 @@
 #include <limits>
 #include <numeric>
 #include <optional>
+#include <set>
 #include <string>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -147,21 +149,13 @@ CanonicalForm referenceCanonicalForm(const DistanceMatrix &M) {
     for (int Shift = 0; Shift < 32; Shift += 8)
       Bytes.push_back(static_cast<std::uint8_t>(V >> Shift));
   };
-  auto Fnv1a = [](const std::vector<std::uint8_t> &Bytes) {
-    std::uint64_t Hash = 1469598103934665603ull;
-    for (std::uint8_t B : Bytes) {
-      Hash ^= B;
-      Hash *= 1099511628211ull;
-    }
-    return Hash;
-  };
   const int N = M.size();
   CanonicalForm Form;
   if (N < 2) {
     for (int I = 0; I < N; ++I)
       Form.Perm.push_back(I);
     AppendU32(Form.Bytes, static_cast<std::uint32_t>(N));
-    Form.Key = Fnv1a(Form.Bytes);
+    Form.Key = hashBytes(Form.Bytes);
     return Form;
   }
   double Farthest = M.at(0, 1);
@@ -213,12 +207,12 @@ CanonicalForm referenceCanonicalForm(const DistanceMatrix &M) {
         Form.Bytes = std::move(Bytes);
       }
     }
-  Form.Key = Fnv1a(Form.Bytes);
+  Form.Key = hashBytes(Form.Bytes);
   return Form;
 }
 
 /// A second, unrelated 64-bit hash (splitmix-style), so a golden row pins
-/// the canonical bytes by more than the FNV-1a key they produce.
+/// the canonical bytes by more than the key they produce.
 template <typename T> std::uint64_t mixHash(const std::vector<T> &Values) {
   std::uint64_t H = 0x243f6a8885a308d3ull;
   for (T V : Values) {
@@ -318,40 +312,40 @@ TEST(Fingerprint, GoldenCanonicalForms) {
 
   const GoldenForm Rows[] = {
       {"paper_example", dataMatrix("paper_example.dist"),
-       0x985ad27a1c6203c0ull, 0x1f9052fb8d651d91ull, 124, 0x9992eee97dc036eull},
+       0x7d2befa8e4b8d2bfull, 0x1f9052fb8d651d91ull, 124, 0x9992eee97dc036eull},
       {"hmdna16", dataMatrix("hmdna16.dist"),
-       0x26bac6f71215e37ull, 0x3827832ef6be7d5ull, 964, 0x698ec19d9fa73d90ull},
+       0x882992f78f7355f0ull, 0x3827832ef6be7d5ull, 964, 0x698ec19d9fa73d90ull},
       {"random20", dataMatrix("random20.dist"),
-       0xbadda7c0c72c19bdull, 0xc8bf3d437e3bc44full, 1524,
+       0xcdc92bb0177dba3cull, 0xc8bf3d437e3bc44full, 1524,
        0xd7ab2b6c29682890ull},
       {"all-equal-20", AllEqual,
-       0xaedb10353eca7cc7ull, 0x856471c42619a0b0ull, 1524,
+       0x3b3c3042c0aa7fe3ull, 0x856471c42619a0b0ull, 1524,
        0x5da700916395500dull},
       {"int-ties-24-s1", integerTieMatrix(24, 2, 4, 1),
-       0x6fef31c742909983ull, 0xca56e12f34a753d1ull, 2212,
+       0xa8f3538a844d45edull, 0xca56e12f34a753d1ull, 2212,
        0x423be5fa7c386f6bull},
       {"int-ties-24-s2", integerTieMatrix(24, 2, 4, 2),
-       0x28eace34c9f3464bull, 0xc130b1c8a2d1a295ull, 2212,
+       0x780a2cc2e0d62f29ull, 0xc130b1c8a2d1a295ull, 2212,
        0x55069c864ef94919ull},
       {"int-ties-31-s3", integerTieMatrix(31, 1, 2, 3),
-       0xcec677cf68b6bda1ull, 0x5aab1e484fb6b0f3ull, 3724,
+       0x2194cfc1675b718aull, 0x5aab1e484fb6b0f3ull, 3724,
        0x4612974e2871c2e9ull},
       {"signed-zero-12", signedZeroMatrix(12, 4),
-       0xbd3841591d4845ffull, 0x662f266eb5c4d681ull, 532,
+       0x3ee5340c4ef5c48aull, 0x662f266eb5c4d681ull, 532,
        0xed9bb6ffd89352d6ull},
       {"all-zero-7", AllZero,
-       0x4624f614b85d21c4ull, 0xbac1ad66691a0463ull, 172,
+       0x583cafe3b4c1d4c4ull, 0xbac1ad66691a0463ull, 172,
        0xf62fa418cdef90edull},
       {"n0", DistanceMatrix(0),
-       0x315446a086a23133ull, 0x243f6a8885a308d3ull, 4, 0x4534183a9817a9a3ull},
+       0xa393c46a00f149d6ull, 0x243f6a8885a308d3ull, 4, 0x4534183a9817a9a3ull},
       {"n1", DistanceMatrix(1),
-       0x91599a98306c74a2ull, 0x2cb0f69f4abea221ull, 4, 0x3757231de6a562ddull},
+       0x5f940cac43179430ull, 0x2cb0f69f4abea221ull, 4, 0x3757231de6a562ddull},
       {"n2", Two,
-       0xd8e5197e745bd025ull, 0x9478dcbcb9ca8043ull, 12, 0x56c9c4e55d0a423bull},
+       0xaf45a747f1d27f0bull, 0x9478dcbcb9ca8043ull, 12, 0x56c9c4e55d0a423bull},
       {"n3", Three,
-       0x690f65c55324092cull, 0xede5552e5fe53772ull, 28, 0xc570176602ec0d1ull},
+       0xac0307e7ef567477ull, 0xede5552e5fe53772ull, 28, 0xc570176602ec0d1ull},
       {"planted-256", scaledToMax(plantedClusterMetric(256, 7), 100.0),
-       0x8944e8920c019263ull, 0xe270a80bcb41be83ull, 261124,
+       0xc0951729580897eaull, 0xe270a80bcb41be83ull, 261124,
        0xd3640ca74ba40032ull},
   };
   for (const GoldenForm &Row : Rows) {
@@ -413,6 +407,115 @@ TEST(Fingerprint, MatchesEncodeEveryCandidateReference) {
     ASSERT_EQ(Got.Perm, Want.Perm) << "input " << I;
     ASSERT_EQ(Got.Bytes, Want.Bytes) << "input " << I;
   }
+}
+
+namespace {
+
+/// `hashBytes` spelled out the slow way: every word is assembled byte by
+/// byte, little-endian, whatever the host's byte order.
+std::uint64_t referenceHashBytes(const std::vector<std::uint8_t> &Bytes) {
+  const std::uint64_t P1 = 0x9e3779b185ebca87ull;
+  const std::uint64_t P2 = 0xc2b2ae3d27d4eb4full;
+  const std::uint64_t P4 = 0x85ebca77c2b2ae63ull;
+  const std::uint64_t P5 = 0x27d4eb2f165667c5ull;
+  auto Rotl = [](std::uint64_t X, int R) { return X << R | X >> (64 - R); };
+  auto Round = [&](std::uint64_t Lane, std::uint64_t Word) {
+    return Rotl(Lane + Word * P2, 31) * P1;
+  };
+  // The little-endian word of the (at most 8) bytes from At on.
+  auto Word = [&](std::size_t At) {
+    std::uint64_t W = 0;
+    for (std::size_t K = 0; K < 8 && At + K < Bytes.size(); ++K)
+      W |= static_cast<std::uint64_t>(Bytes[At + K]) << (8 * K);
+    return W;
+  };
+  const std::size_t Size = Bytes.size();
+  std::size_t At = 0;
+  std::uint64_t Hash = P5;
+  if (Size >= 32) {
+    std::uint64_t Lanes[4] = {P1 + P2, P2, 0, 0 - P1};
+    for (; At + 32 <= Size; At += 32)
+      for (std::size_t L = 0; L < 4; ++L)
+        Lanes[L] = Round(Lanes[L], Word(At + 8 * L));
+    Hash = Rotl(Lanes[0], 1) + Rotl(Lanes[1], 7) + Rotl(Lanes[2], 12) +
+           Rotl(Lanes[3], 18);
+    for (std::uint64_t Lane : Lanes)
+      Hash = (Hash ^ Round(0, Lane)) * P1 + P4;
+  }
+  Hash += Size;
+  for (; At < Size; At += 8)
+    Hash = Rotl(Hash ^ Round(0, Word(At)), 27) * P1 + P4;
+  Hash ^= Hash >> 33;
+  Hash *= 0xff51afd7ed558ccdull;
+  Hash ^= Hash >> 33;
+  Hash *= 0xc4ceb9fe1a85ec53ull;
+  Hash ^= Hash >> 33;
+  return Hash;
+}
+
+} // namespace
+
+// The key is part of the on-disk format: the word-at-a-time hash must
+// equal a byte-at-a-time spelling of it for every tail length and at the
+// size of a 256-taxon canonical form.
+TEST(Fingerprint, HashBytesMatchesByteByByteReference) {
+  Rng R(41);
+  std::vector<std::uint8_t> Bytes;
+  for (std::size_t Size = 0; Size <= 100; ++Size) {
+    ASSERT_EQ(hashBytes(Bytes), referenceHashBytes(Bytes)) << "size " << Size;
+    Bytes.push_back(static_cast<std::uint8_t>(R.next()));
+  }
+  std::vector<std::uint8_t> Large(261124);
+  for (std::uint8_t &B : Large)
+    B = static_cast<std::uint8_t>(R.next());
+  EXPECT_EQ(hashBytes(Large), referenceHashBytes(Large));
+}
+
+// Every input bit reaches every key bit: each single-bit flip of a
+// 16-taxon form changes the key, and flips each key bit about half the
+// time (the shard choice and the cluster ring read different bits).
+TEST(Fingerprint, HashBytesAvalanches) {
+  const std::vector<std::uint8_t> Bytes =
+      canonicalForm(dataMatrix("hmdna16.dist")).Bytes;
+  ASSERT_EQ(Bytes.size(), 964u);
+  const std::uint64_t Key = hashBytes(Bytes);
+  std::array<int, 64> Flipped{};
+  int Flips = 0;
+  for (std::size_t I = 0; I < Bytes.size(); ++I)
+    for (int Bit = 0; Bit < 8; ++Bit) {
+      std::vector<std::uint8_t> Copy = Bytes;
+      Copy[I] ^= static_cast<std::uint8_t>(1u << Bit);
+      const std::uint64_t Diff = hashBytes(Copy) ^ Key;
+      ASSERT_NE(Diff, 0u) << "byte " << I << " bit " << Bit;
+      for (int K = 0; K < 64; ++K)
+        Flipped[static_cast<std::size_t>(K)] += (Diff >> K) & 1;
+      ++Flips;
+    }
+  ASSERT_EQ(Flips, 7712);
+  for (int K = 0; K < 64; ++K) {
+    const double Rate = Flipped[static_cast<std::size_t>(K)] / 7712.0;
+    EXPECT_NEAR(Rate, 0.5, 0.05) << "key bit " << K;
+  }
+}
+
+// Keys spread evenly over the cache's shards, reduced as
+// `ShardedLruCache::shardFor` reduces them.
+TEST(Fingerprint, KeysFillTheDefaultShardsEvenly) {
+  constexpr int Shards = 8;
+  constexpr int Forms = 4096;
+  std::array<int, Shards> Load{};
+  std::set<std::uint64_t> Keys;
+  for (std::uint64_t Seed = 0; Seed < Forms; ++Seed) {
+    const std::uint64_t Key =
+        canonicalForm(uniformRandomMetric(8, 7000 + Seed)).Key;
+    Keys.insert(Key);
+    ++Load[static_cast<std::size_t>((Key ^ (Key >> 32)) % Shards)];
+  }
+  // Distinct keys, so distinct forms.
+  ASSERT_EQ(Keys.size(), static_cast<std::size_t>(Forms));
+  const double Mean = static_cast<double>(Forms) / Shards;
+  for (int S = 0; S < Shards; ++S)
+    EXPECT_LE(Load[static_cast<std::size_t>(S)], 1.2 * Mean) << "shard " << S;
 }
 
 //===----------------------------------------------------------------------===//
