@@ -18,7 +18,7 @@
 // Build options:
 //   --condense {max|min|avg}  --three-three {none|third|all}
 //   --max-exact N  --budget NODES  --deadline MILLIS  --no-cache
-//   --polish  --incremental  --json
+//   --polish  --json
 // QoS options (protocol v3; daemon must run with --qos for them to
 // change scheduling):
 //   --priority {low|normal|high}  scheduling priority
@@ -54,7 +54,7 @@ int usage(const char *Argv0) {
       "        | --stats [--json] | --ping | --shutdown)\n"
       "       [--condense max|min|avg] [--three-three none|third|all]\n"
       "       [--max-exact N] [--budget NODES] [--deadline MS]\n"
-      "       [--no-cache] [--polish] [--incremental] [--json]\n"
+      "       [--no-cache] [--polish] [--json]\n"
       "       [--priority low|normal|high] [--deadline-ms MS]"
       " [--tenant NAME]\n"
       "       [--retries N] [--backoff-ms MS]\n",
@@ -84,16 +84,14 @@ void printBuildJson(const BuildResponse &R) {
   }
   std::printf("\"cost\":%.10g,\"exact\":%s,\"cache_hit\":%s,"
               "\"block_cache_hits\":%u,\"branched\":%llu,"
-              "\"incremental\":%s,\"dirty_blocks\":%u,\"clean_blocks\":%u,"
-              "\"taxa_added\":%d,\"taxa_removed\":%d,\"entries_changed\":%d,"
+              "\"dirty_blocks\":%u,\"clean_blocks\":%u,"
               "\"tier\":\"%s\",\"predicted_ms\":%.3f,\"coalesced\":%s,"
               "\"queue_ms\":%.3f,\"solve_ms\":%.3f,"
               "\"blocks\":%zu,\"newick\":\"%s\"}\n",
               R.Cost, R.Exact ? "true" : "false",
               R.CacheHit ? "true" : "false", R.BlockCacheHits,
               static_cast<unsigned long long>(R.Branched),
-              R.IncrementalApplied ? "true" : "false", R.DirtyBlocks,
-              R.CleanBlocks, R.TaxaAdded, R.TaxaRemoved, R.EntriesChanged,
+              R.DirtyBlocks, R.CleanBlocks,
               qosTierName(R.Tier), R.PredictedMillis,
               R.Coalesced ? "true" : "false", R.QueueMillis, R.SolveMillis,
               R.Blocks.size(), jsonEscape(R.Newick).c_str());
@@ -168,8 +166,6 @@ int main(int argc, char **argv) {
       Request.UseCache = false;
     else if (Arg == "--polish")
       Request.Polish = true;
-    else if (Arg == "--incremental")
-      Request.Incremental = true;
     else if (Arg == "--stats")
       Stats = true;
     else if (Arg == "--ping")
@@ -267,8 +263,7 @@ int main(int argc, char **argv) {
     }
     std::printf("accepted:     %llu\ncompleted:    %llu\nfailed:       "
                 "%llu\nwhole cache:  %llu hits / %llu misses\nblock cache: "
-                " %llu hits / %llu misses (%llu remote)\nincremental: "
-                " %llu applied, %llu dirty / %llu clean blocks\n"
+                " %llu hits / %llu misses (%llu remote)\n"
                 "deadline:     %llu expired\n"
                 "rejected:     %llu\n"
                 "qos:          %llu shed, %llu rate-limited, %llu coalesced\n"
@@ -283,9 +278,6 @@ int main(int argc, char **argv) {
                 static_cast<unsigned long long>(S->BlockHits),
                 static_cast<unsigned long long>(S->BlockMisses),
                 static_cast<unsigned long long>(S->BlockRemoteHits),
-                static_cast<unsigned long long>(S->IncrementalApplied),
-                static_cast<unsigned long long>(S->IncrementalDirty),
-                static_cast<unsigned long long>(S->IncrementalClean),
                 static_cast<unsigned long long>(S->DeadlineExpired),
                 static_cast<unsigned long long>(S->Rejected),
                 static_cast<unsigned long long>(S->Shed),
@@ -354,11 +346,6 @@ int main(int argc, char **argv) {
   std::printf("cache:    %s, %u block hit(s)\n",
               Resp->CacheHit ? "whole-matrix hit" : "miss",
               Resp->BlockCacheHits);
-  if (Resp->IncrementalApplied)
-    std::printf("incr:     base matched (+%d/-%d taxa, %d entries changed), "
-                "%u dirty / %u clean blocks\n",
-                Resp->TaxaAdded, Resp->TaxaRemoved, Resp->EntriesChanged,
-                Resp->DirtyBlocks, Resp->CleanBlocks);
   std::printf("time:     %.3fms queued + %.3fms solve, branched %llu\n",
               Resp->QueueMillis, Resp->SolveMillis,
               static_cast<unsigned long long>(Resp->Branched));

@@ -12,7 +12,6 @@
 //         [--workers N] [--queue N] [--cache N] [--max-species N]
 //         [--block-solver seq|threaded|cluster]
 //         [--block-concurrency N] [--threads-per-block N]
-//         [--incremental [--incremental-bases N]]
 //         [--qos [--qos-tenant-rate R] [--qos-tenant-burst B]
 //          [--qos-degraded-max-exact N] [--qos-fit-margin F]
 //          [--qos-starvation-ms MS] [--qos-no-coalesce]]
@@ -80,7 +79,6 @@ int usage(const char *Argv0) {
                " [--max-species N]\n"
                "       [--block-solver seq|threaded|cluster]\n"
                "       [--block-concurrency N] [--threads-per-block N]\n"
-               "       [--incremental [--incremental-bases N]]\n"
                "       [--qos [--qos-tenant-rate R] [--qos-tenant-burst B]\n"
                "        [--qos-degraded-max-exact N] [--qos-fit-margin F]\n"
                "        [--qos-starvation-ms MS] [--qos-no-coalesce]]\n"
@@ -197,11 +195,6 @@ int main(int argc, char **argv) {
       Options.BlockConcurrency = std::max(0, std::atoi(V));
     else if (Arg == "--threads-per-block" && (V = next()))
       Options.ThreadsPerBlock = std::max(0, std::atoi(V));
-    else if (Arg == "--incremental")
-      Options.Incremental = true;
-    else if (Arg == "--incremental-bases" && (V = next()))
-      Options.IncrementalBases =
-          static_cast<std::size_t>(std::max(1, std::atoi(V)));
     else if (Arg == "--qos")
       Options.Qos.Enabled = true;
     else if (Arg == "--qos-tenant-rate" && (V = next()))
@@ -330,7 +323,6 @@ int main(int argc, char **argv) {
       .kv("max_species", Options.MaxSpecies)
       .kv("block_concurrency", Options.BlockConcurrency)
       .kv("threads_per_block", Options.ThreadsPerBlock)
-      .kv("incremental", Options.Incremental ? "on" : "off")
       .kv("qos", Options.Qos.Enabled ? "on" : "off")
       .kv("build", persist::buildFlavor())
       .kv("stats_dump",

@@ -13,7 +13,8 @@
 #      no sleep-based synchronization in src/, and no mutable shared
 #      counters that bypass <atomic>.
 #   3. Metric catalog completeness: every metric name literal in
-#      src/obs/ must be documented in docs/observability.md.
+#      src/obs/ must be documented in docs/observability.md, and every
+#      catalog table row must name a metric src/obs/ registers.
 #   4. Lock discipline: no raw standard-library locking primitives in
 #      src/ outside the annotated wrappers (support/Mutex.h), so every
 #      mutex carries a thread-safety capability and feeds the
@@ -162,9 +163,11 @@ fi
 # --- Layer 3: metric catalog completeness -----------------------------------
 #
 # docs/observability.md promises to document every metric the process
-# exports. Every "mutk_..." name literal in src/obs/ must therefore
-# appear in that file; renaming or adding an instrument without updating
-# the catalog fails the lint.
+# exports, and only those. Every "mutk_..." name literal in src/obs/
+# must therefore appear in that file, and every catalog table row
+# ("| `mutk_...") must name one of those literals; renaming, adding or
+# retiring an instrument without updating the catalog fails the lint.
+# A row's label suffix (`{shard="i"}`) is not part of the name.
 METRIC_DOC="${REPO_ROOT}/docs/observability.md"
 if [ ! -f "$METRIC_DOC" ]; then
   fail "docs/observability.md missing (the metric catalog)"
@@ -183,6 +186,17 @@ else
     fail "metrics registered in src/obs/ but absent from docs/observability.md:${undocumented}"
   else
     note "lint: metric catalog covers all $(printf '%s\n' "$metric_names" | wc -l) names in src/obs/"
+  fi
+  row_names=$(grep -oE '^\| `mutk_[a-z0-9_]+' "$METRIC_DOC" |
+              sed 's/^| `//' | sort -u)
+  stale=""
+  for name in $row_names; do
+    if ! printf '%s\n' "$metric_names" | grep -qx "$name"; then
+      stale="${stale} ${name}"
+    fi
+  done
+  if [ -n "$stale" ]; then
+    fail "metrics cataloged in docs/observability.md but registered nowhere in src/obs/:${stale}"
   fi
 fi
 

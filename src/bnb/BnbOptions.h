@@ -88,9 +88,9 @@ struct BnbOptions {
   /// Resume a previous search instead of starting from the root: the
   /// solver seeds its frontier, incumbent, upper bound and counters from
   /// this state. Must have been captured from a solve of the *same*
-  /// matrix with the same `ThreeThree`/`AssumeMaxminOrdered` settings
-  /// (the persist layer verifies the matrix fingerprint). Borrowed; must
-  /// outlive the solve.
+  /// matrix, in the same labels, with the same
+  /// `ThreeThree`/`AssumeMaxminOrdered` settings (the solver checks the
+  /// state's `labeledKey` stamp). Borrowed; must outlive the solve.
   const SearchCheckpoint *ResumeFrom = nullptr;
 };
 

@@ -13,9 +13,10 @@
 /// The sink receives *structured* state, not bytes: serialization lives
 /// in `mp/Serialize.h` and durable storage in `persist/Checkpoint.h`, so
 /// the solver layer stays free of I/O. Frontier topologies are in the
-/// solver's maxmin-relabeled species space; resuming is only valid
-/// against the same distance matrix (the persist layer records a matrix
-/// fingerprint and refuses mismatches).
+/// solver's maxmin-relabeled species space and the incumbent names
+/// species by index, so resuming is only valid against the same distance
+/// matrix in the same labels: the solver stamps `labeledKey(M)` and
+/// refuses a resume stamped otherwise, a relabeling of M included.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,9 +47,9 @@ struct SearchCheckpoint {
   /// Counters accumulated up to the capture point; resuming continues
   /// them so `MaxBranchedNodes` budgets span interruptions.
   BnbStats Stats;
-  /// Fingerprint of the matrix the search ran on (`fingerprint(M)`),
-  /// stamped by the solver; the persist layer refuses to resume a
-  /// checkpoint against a different matrix.
+  /// Key of the matrix the search ran on, in its own labels
+  /// (`labeledKey(M)`), stamped by the solver. A resume against a
+  /// different matrix, or against a relabeling of this one, is refused.
   std::uint64_t MatrixKey = 0;
 };
 
@@ -64,10 +65,9 @@ public:
 };
 
 /// Shared resume guard: returns `Options.ResumeFrom` when it is usable
-/// for a search over a matrix with fingerprint `MatrixKey`, or nullptr
-/// (start fresh) when absent or stamped with a different matrix. A zero
-/// key on either side skips the comparison (caller opted out of
-/// fingerprinting).
+/// for a search over a matrix with key `MatrixKey`, or nullptr (start
+/// fresh) when absent or stamped with a different matrix. A zero key on
+/// either side skips the comparison (caller opted out of keying).
 const SearchCheckpoint *usableResume(const BnbOptions &Options,
                                      std::uint64_t MatrixKey);
 

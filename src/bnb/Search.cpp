@@ -23,8 +23,8 @@ bool mutk::solveTrivial(const DistanceMatrix &M, MutResult &Result) {
   return true;
 }
 
-/// A checkpoint stamped with a different matrix fingerprint must not
-/// seed this search.
+/// A checkpoint stamped with a different matrix key must not seed this
+/// search.
 const SearchCheckpoint *mutk::usableResume(const BnbOptions &Options,
                                            std::uint64_t MatrixKey) {
   const SearchCheckpoint *Resume = Options.ResumeFrom;
@@ -84,7 +84,7 @@ void Incumbent::finish(MutResult &Result) {
 
 std::uint64_t mutk::checkpointKey(const DistanceMatrix &M,
                                   const BnbOptions &Options) {
-  return Options.Checkpoint || Options.ResumeFrom ? fingerprint(M) : 0;
+  return Options.Checkpoint || Options.ResumeFrom ? labeledKey(M) : 0;
 }
 
 void mutk::writeCheckpoint(const BnbOptions &Options, std::uint64_t MatrixKey,

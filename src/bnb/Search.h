@@ -138,8 +138,10 @@ private:
   std::vector<Topology> CoOptimal;
 };
 
-/// The matrix fingerprint that stamps checkpoints and guards resumes, or
-/// 0 when \p Options neither checkpoints nor resumes (it costs O(n^2)).
+/// The matrix key that stamps checkpoints and guards resumes
+/// (`labeledKey(M)`: a checkpoint names species by index, so a
+/// relabeling of \p M must not match), or 0 when \p Options neither
+/// checkpoints nor resumes (it costs O(n^2)).
 std::uint64_t checkpointKey(const DistanceMatrix &M, const BnbOptions &Options);
 
 /// Hands `Options.Checkpoint` a snapshot of an unfinished search.

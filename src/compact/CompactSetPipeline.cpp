@@ -137,9 +137,12 @@ PhyloTree solveOneBlock(const SolveContext &Ctx, int Id, BlockOutcome &Out)
     BlockBnb.Checkpoint = Sink.get();
     if (Ckpt->Load) {
       Resume = Ckpt->Load(Form.Key);
-      if (Resume && Resume->MatrixKey != 0 && Resume->MatrixKey != Form.Key) {
-        // Stale or colliding state: the solver would refuse it anyway,
-        // but waiting for a *successful* solve to delete it replays the
+      if (Resume && Resume->MatrixKey != 0 &&
+          Resume->MatrixKey != labeledKey(Condensed)) {
+        // Stale state, or a relabeled twin's: the file is named by the
+        // relabel-invariant key, but the state names species by this
+        // block's indices. The solver would refuse it anyway, but
+        // waiting for a *successful* solve to delete it replays the
         // useless load forever when every attempt is truncated (budget,
         // deadline) or throws. Remove on mismatch, eagerly.
         if (Ckpt->Done)

@@ -73,8 +73,11 @@ struct BlockCacheHooks {
 /// run was interrupted, resumes each unfinished block from its saved
 /// state instead of from the root. Only the sequential block solver
 /// checkpoints (the simulated-cluster solver is itself a simulation).
-/// The solver re-validates the matrix fingerprint before resuming, so a
-/// stale or colliding state costs a fresh solve, never a wrong tree.
+/// Files are keyed by the canonical key, which a relabeled twin of the
+/// block shares; the state itself is stamped with the block's
+/// `labeledKey`, which the pipeline and the solver check before resuming,
+/// so a stale state or a twin's costs a fresh solve. A forged or
+/// colliding 64-bit stamp is not caught.
 struct BlockCheckpointHooks {
   /// Returns the sink that persists checkpoints for the block with this
   /// canonical key (null = do not checkpoint this block).

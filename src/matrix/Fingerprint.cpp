@@ -237,6 +237,12 @@ std::uint64_t mutk::fingerprint(const DistanceMatrix &M) {
   return canonicalForm(M).Key;
 }
 
+std::uint64_t mutk::labeledKey(const DistanceMatrix &M) {
+  std::vector<int> Identity(static_cast<std::size_t>(M.size()));
+  std::iota(Identity.begin(), Identity.end(), 0);
+  return hashBytes(canonicalBytes(M, Identity));
+}
+
 int mutk::canonicalSpeciesCount(const std::vector<std::uint8_t> &Bytes) {
   if (Bytes.size() < 4)
     return 0;

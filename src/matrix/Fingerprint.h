@@ -81,6 +81,14 @@ std::uint64_t hashBytes(std::span<const std::uint8_t> Bytes);
 /// fingerprint (collisions possible; compare `Bytes` before trusting it).
 std::uint64_t fingerprint(const DistanceMatrix &M);
 
+/// `hashBytes` over \p M in its own labels: the size header and the
+/// upper triangle in index order, encoded as `CanonicalForm::Bytes` is
+/// but under the identity permutation. Unlike `fingerprint` it changes
+/// under relabeling, so it keys state that names species by index, such
+/// as a search checkpoint (`SearchCheckpoint::MatrixKey`). One O(n^2)
+/// pass, no maxmin sweep.
+std::uint64_t labeledKey(const DistanceMatrix &M);
+
 /// Decodes the species-count header of a `CanonicalForm::Bytes` string
 /// (0 for a malformed/too-short buffer). Lets cache tiers apply
 /// size-dependent policy — e.g. "only ship blocks of >= k species to a

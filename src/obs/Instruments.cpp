@@ -161,21 +161,6 @@ BlockCacheInstruments &mutk::obs::blockCacheInstruments() {
   return I;
 }
 
-IncrementalInstruments &mutk::obs::incrementalInstruments() {
-  static IncrementalInstruments I{
-      reg().counter("mutk_incremental_requests_total"),
-      reg().counter("mutk_incremental_applied_total"),
-      reg().counter("mutk_incremental_no_base_total"),
-      reg().counter("mutk_incremental_delta_too_large_total"),
-      reg().counter("mutk_incremental_taxa_added_total"),
-      reg().counter("mutk_incremental_taxa_removed_total"),
-      reg().counter("mutk_incremental_entries_changed_total"),
-      reg().counter("mutk_incremental_dirty_blocks_total"),
-      reg().counter("mutk_incremental_clean_blocks_total"),
-  };
-  return I;
-}
-
 QosInstruments &mutk::obs::qosInstruments() {
   static QosInstruments I{
       reg().counter("mutk_qos_shed_total"),

@@ -164,23 +164,6 @@ struct BlockCacheInstruments {
 };
 BlockCacheInstruments &blockCacheInstruments();
 
-/// Incremental re-solve counters (`docs/caching.md#incremental-mode`):
-/// requests that asked for perturbation detection, how the base search
-/// went, the size of the accepted deltas, and how many blocks the
-/// accepted runs re-solved (dirty) vs replayed (clean).
-struct IncrementalInstruments {
-  Counter &Requests;
-  Counter &Applied;
-  Counter &NoBase;
-  Counter &DeltaTooLarge;
-  Counter &TaxaAdded;
-  Counter &TaxaRemoved;
-  Counter &EntriesChanged;
-  Counter &DirtyBlocks;
-  Counter &CleanBlocks;
-};
-IncrementalInstruments &incrementalInstruments();
-
 /// Cost-predictive QoS layer counters (`docs/qos.md`): admission
 /// outcomes (sheds, rate limits, per-tier routing), coalescing
 /// (followers answered by a leader, fan-out sizes), scheduler

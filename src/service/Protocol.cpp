@@ -97,9 +97,9 @@ constexpr std::size_t RequestHeaderBytes = 5;
 
 /// Build-request bytes besides the matrix (or generator spec) and the
 /// tenant's characters: generator u8; mode, 3-3, cap i32, polish,
-/// budget u64, deadline u32, cache, incremental and priority; the
-/// tenant's u32 length.
-constexpr std::size_t BuildFixedBytes = 1 + 26;
+/// budget u64, deadline u32, cache and priority; the tenant's u32
+/// length.
+constexpr std::size_t BuildFixedBytes = 1 + 25;
 
 /// Generator spec: species i32, seed u64.
 constexpr std::size_t GeneratorSpecBytes = 12;
@@ -124,14 +124,13 @@ void writeBuildRequest(ByteWriter &W, const BuildRequest &B) {
   W.writeU64(B.NodeBudget);
   W.writeU32(B.DeadlineMillis);
   W.writeU8(B.UseCache ? 1 : 0);
-  W.writeU8(B.Incremental ? 1 : 0);
   W.writeU8(static_cast<std::uint8_t>(B.Priority));
   W.writeString(B.Tenant);
 }
 
 bool readBuildRequest(ByteReader &R, BuildRequest &B) {
   std::uint8_t Generator = 0, Mode = 0, ThreeThree = 0, Polish = 0,
-               UseCache = 0, Incremental = 0;
+               UseCache = 0;
   if (!R.readU8(Generator) ||
       Generator > static_cast<std::uint8_t>(GeneratorKind::Dna))
     return false;
@@ -152,11 +151,10 @@ bool readBuildRequest(ByteReader &R, BuildRequest &B) {
   B.ThreeThree = static_cast<ThreeThreeMode>(ThreeThree);
   if (!R.readI32(B.MaxExactBlockSize) || !R.readU8(Polish) ||
       !R.readU64(B.NodeBudget) || !R.readU32(B.DeadlineMillis) ||
-      !R.readU8(UseCache) || !R.readU8(Incremental))
+      !R.readU8(UseCache))
     return false;
   B.Polish = Polish != 0;
   B.UseCache = UseCache != 0;
-  B.Incremental = Incremental != 0;
   std::uint8_t Priority = 0;
   if (!R.readU8(Priority) ||
       Priority > static_cast<std::uint8_t>(RequestPriority::High))
@@ -181,12 +179,8 @@ void writeBuildResponse(ByteWriter &W, const BuildResponse &B) {
     W.writeU8(S.Exact ? 1 : 0);
     W.writeU8(S.FromCache ? 1 : 0);
   }
-  W.writeU8(B.IncrementalApplied ? 1 : 0);
   W.writeU32(B.DirtyBlocks);
   W.writeU32(B.CleanBlocks);
-  W.writeI32(B.TaxaAdded);
-  W.writeI32(B.TaxaRemoved);
-  W.writeI32(B.EntriesChanged);
   W.writeF64(B.QueueMillis);
   W.writeF64(B.SolveMillis);
   W.writeU8(static_cast<std::uint8_t>(B.Tier));
@@ -217,13 +211,8 @@ bool readBuildResponse(ByteReader &R, BuildResponse &B) {
     S.Exact = BlockExact != 0;
     S.FromCache = FromCache != 0;
   }
-  std::uint8_t IncrementalApplied = 0;
-  if (!R.readU8(IncrementalApplied) || !R.readU32(B.DirtyBlocks) ||
-      !R.readU32(B.CleanBlocks) || !R.readI32(B.TaxaAdded) ||
-      !R.readI32(B.TaxaRemoved) || !R.readI32(B.EntriesChanged))
-    return false;
-  B.IncrementalApplied = IncrementalApplied != 0;
-  if (!R.readF64(B.QueueMillis) || !R.readF64(B.SolveMillis))
+  if (!R.readU32(B.DirtyBlocks) || !R.readU32(B.CleanBlocks) ||
+      !R.readF64(B.QueueMillis) || !R.readF64(B.SolveMillis))
     return false;
   std::uint8_t Tier = 0, Coalesced = 0;
   if (!R.readU8(Tier) ||

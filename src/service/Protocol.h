@@ -46,7 +46,10 @@ namespace mutk {
 /// incremental counters). Version 3 added the QoS fields: request
 /// priority/tenant, response tier/predicted-cost/coalesced, the `Shed`
 /// and `RateLimited` error codes, and the stats QoS counter block.
-inline constexpr std::uint32_t ServiceProtocolVersion = 3;
+/// Version 4 removed the incremental fields again (the request flag,
+/// the response's applied flag and delta, the three stats counters);
+/// the block tier alone delivers a perturbed resubmission's reuse.
+inline constexpr std::uint32_t ServiceProtocolVersion = 4;
 
 /// Hard protocol cap on inline-matrix size: checked before the decoder
 /// allocates the n^2 buffer, so a hostile size field cannot OOM the
@@ -148,12 +151,6 @@ struct BuildRequest {
   std::uint32_t DeadlineMillis = 0;
   /// Opt out of the result cache for this request.
   bool UseCache = true;
-  /// Ask the service to treat this matrix as a possible perturbation of
-  /// a recently solved base: diff against remembered bases, and when the
-  /// delta is small, re-run the decomposition reusing every clean
-  /// block's cached subtree (docs/caching.md#incremental-mode). Requires
-  /// `UseCache`; ignored when the service has no incremental index.
-  bool Incremental = false;
 
   /// \name QoS fields (protocol v3; see docs/qos.md).
   /// @{
@@ -191,19 +188,10 @@ struct BuildResponse {
   std::uint64_t Branched = 0;
   std::vector<BlockSummary> Blocks;
 
-  /// Incremental mode engaged: a remembered base matched within the
-  /// service's delta thresholds, so clean blocks replayed from cache.
-  bool IncrementalApplied = false;
-  /// Blocks that actually ran a solver (incremental or not: on a
-  /// from-scratch solve this is simply blocks minus cache hits).
+  /// Blocks that ran a solver: every block minus the block-cache hits.
   std::uint32_t DirtyBlocks = 0;
   /// Blocks replayed verbatim from the block cache.
   std::uint32_t CleanBlocks = 0;
-  /// Perturbation delta against the matched base (zeros unless
-  /// `IncrementalApplied`).
-  std::int32_t TaxaAdded = 0;
-  std::int32_t TaxaRemoved = 0;
-  std::int32_t EntriesChanged = 0;
 
   /// Time spent queued before a worker picked the job up.
   double QueueMillis = 0.0;
@@ -239,11 +227,6 @@ struct StatsSnapshot {
   std::uint64_t BlockMisses = 0;
   /// Block subtrees served by a remote peer's cache shard.
   std::uint64_t BlockRemoteHits = 0;
-  /// Requests where incremental mode engaged (base matched thresholds).
-  std::uint64_t IncrementalApplied = 0;
-  /// Blocks re-solved / replayed across all incremental requests.
-  std::uint64_t IncrementalDirty = 0;
-  std::uint64_t IncrementalClean = 0;
   std::uint64_t DeadlineExpired = 0;
   std::uint64_t Rejected = 0; ///< QueueFull + ShuttingDown rejections.
   /// \name QoS counters (protocol v3; zero when QoS is off).

@@ -23,12 +23,6 @@ namespace {
 /// but must never answer for each other.
 constexpr std::uint64_t WholeKeySalt = 0x9e3779b97f4a7c15ull;
 
-/// Incremental mode: a solved base qualifies only when `TaxaAdded +
-/// TaxaRemoved` stays within this bound...
-constexpr int IncrementalMaxTaxaDelta = 2;
-/// ...and at most this many common-taxon distances changed.
-constexpr int IncrementalMaxChangedEntries = 8;
-
 /// Dry-run difficulty profiles the QoS cost model memoizes by canonical
 /// fingerprint.
 constexpr std::size_t QosProfileMemoCapacity = 256;
@@ -106,8 +100,6 @@ TreeService::TreeService(const ServiceOptions &Options)
   Cache.setInstruments(&obs::cacheInstruments(),
                        obs::cacheShardInstruments(
                            std::max(1, Options.CacheShards)));
-  if (Options.Incremental)
-    Bases = std::make_unique<IncrementalIndex>(Options.IncrementalBases);
   if (!Options.StateDir.empty()) {
     Store = std::make_unique<persist::CacheStore>(Options.StateDir);
     Journal = std::make_unique<persist::JobJournal>(Options.StateDir);
@@ -179,8 +171,14 @@ void TreeService::recoverState() {
   std::uint64_t MaxId = 0;
   for (persist::PendingJob &P : Pending) {
     MaxId = std::max(MaxId, P.Id);
-    std::optional<Request> Req = decodeRequest(P.EncodedRequest);
+    // A job journaled by a daemon of another protocol version does not
+    // decode. It is marked done, not re-run, and said so.
+    std::string Error = "not a build request";
+    std::optional<Request> Req = decodeRequest(P.EncodedRequest, &Error);
     if (!Req || Req->V != Verb::Build) {
+      obs::log(obs::LogLevel::Warn, "service", "dropped journaled job")
+          .kv("journal_id", P.Id)
+          .kv("error", Error);
       Journal->completed(P.Id);
       continue;
     }
@@ -802,50 +800,12 @@ BuildResponse TreeService::process(const Job &J) {
     return Resp;
   }
 
-  // Incremental re-solve: a whole-matrix miss that is a small
-  // perturbation of a remembered base still replays every clean block
-  // from the block tier — the diff only *reports* the reuse, the
-  // fingerprint-keyed cache *delivers* it (clean blocks condense to
-  // byte-identical matrices). A failed match changes nothing: the
-  // request proceeds as a from-scratch solve.
-  std::optional<IncrementalIndex::Match> BaseMatch;
-  if (Request.Incremental && CacheOn && Bases) {
-    obs::IncrementalInstruments &Inc = obs::incrementalInstruments();
-    Inc.Requests.inc();
-    BaseMatch = Bases->bestBase(M, IncrementalMaxTaxaDelta,
-                                IncrementalMaxChangedEntries);
-    if (BaseMatch) {
-      Counters.IncrementalApplied.inc();
-      Inc.TaxaAdded.inc(static_cast<std::uint64_t>(BaseMatch->Delta.TaxaAdded));
-      Inc.TaxaRemoved.inc(
-          static_cast<std::uint64_t>(BaseMatch->Delta.TaxaRemoved));
-      Inc.EntriesChanged.inc(
-          static_cast<std::uint64_t>(BaseMatch->Delta.EntriesChanged));
-    } else if (Bases->size() == 0) {
-      Inc.NoBase.inc();
-    } else {
-      Inc.DeltaTooLarge.inc();
-    }
-  }
-
   PhyloTree SolvedTree;
   Resp = solveFresh(M, Request, Deadline, HasDeadline, SolvedTree);
   Resp.QueueMillis =
       std::chrono::duration<double, std::milli>(Start - SubmitTime).count();
   Resp.Tier = J.Tier;
   Resp.PredictedMillis = J.PredictedMillis;
-
-  if (Resp.ok() && BaseMatch) {
-    Resp.IncrementalApplied = true;
-    Resp.TaxaAdded = BaseMatch->Delta.TaxaAdded;
-    Resp.TaxaRemoved = BaseMatch->Delta.TaxaRemoved;
-    Resp.EntriesChanged = BaseMatch->Delta.EntriesChanged;
-    Counters.IncrementalDirty.inc(Resp.DirtyBlocks);
-    Counters.IncrementalClean.inc(Resp.CleanBlocks);
-  }
-
-  if (Resp.ok() && Resp.Exact && CacheOn && Bases)
-    Bases->remember(M, Form.Key);
 
   if (Resp.ok() && Resp.Exact && CacheOn) {
     // Store in canonical labels so any relabeling of M replays it.

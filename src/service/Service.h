@@ -30,7 +30,6 @@
 #include "qos/Coalescer.h"
 #include "qos/CostModel.h"
 #include "qos/Scheduler.h"
-#include "service/IncrementalIndex.h"
 #include "service/Protocol.h"
 #include "service/ResultCache.h"
 #include "service/ServiceStats.h"
@@ -103,20 +102,6 @@ struct ServiceOptions {
   /// B&B workers inside each block solve when `Solver == Threaded`
   /// (`PipelineOptions::ThreadsPerBlock`; 0 = auto).
   int ThreadsPerBlock = 0;
-
-  /// \name Incremental re-solve mode (docs/caching.md#incremental-mode).
-  /// @{
-
-  /// Keep an index of recently solved matrices so requests flagged
-  /// `BuildRequest::Incremental` can be diffed against them. Off by
-  /// default: the index copies whole matrices, which only pays for
-  /// workloads that actually resubmit perturbations.
-  bool Incremental = false;
-  /// Solved matrices remembered for diffing (LRU; each holds O(n^2)
-  /// doubles, so keep this small).
-  std::size_t IncrementalBases = 32;
-
-  /// @}
 
   /// Durable state directory; empty disables persistence. When set the
   /// service recovers the result cache (snapshot + WAL replay) and
@@ -307,9 +292,6 @@ private:
   qos::Coalescer Coalesce;
   qos::ReadyQueue<Job> Queue;
   ShardedLruCache Cache;
-  /// Solved-base index for incremental mode (null unless
-  /// `Options.Incremental`). Internally locked.
-  std::unique_ptr<IncrementalIndex> Bases;
   ServiceStats Counters;
   std::vector<std::thread> Workers;
   std::atomic<bool> Stopping{false};

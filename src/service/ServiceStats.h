@@ -41,12 +41,6 @@ namespace mutk {
   X(BlockHits, "block_hits", blockCacheInstruments().Hits)                     \
   X(BlockMisses, "block_misses", blockCacheInstruments().Misses)               \
   X(BlockRemoteHits, "block_remote_hits", blockCacheInstruments().RemoteHits)  \
-  X(IncrementalApplied, "incremental_applied",                                 \
-    incrementalInstruments().Applied)                                          \
-  X(IncrementalDirty, "incremental_dirty",                                     \
-    incrementalInstruments().DirtyBlocks)                                      \
-  X(IncrementalClean, "incremental_clean",                                     \
-    incrementalInstruments().CleanBlocks)                                      \
   X(DeadlineExpired, "deadline_expired",                                       \
     serviceInstruments().DeadlineExpired)                                      \
   X(Rejected, "rejected", serviceInstruments().Rejected)                       \

@@ -1,11 +1,10 @@
-//===- tests/incremental_test.cpp - Block cache + incremental re-solve ----===//
+//===- tests/incremental_test.cpp - Block cache reuse across requests -----===//
 //
-// Covers the cross-request block cache tier and incremental re-solve
-// mode end to end: the name-keyed matrix diff, the solved-base index,
-// block reuse between different whole-matrix requests (byte-identical
-// trees warm vs cold), perturbation requests re-solving exactly the
-// dirty blocks, and restart recovery of block-namespace entries through
-// the durable cache store.
+// Covers the cross-request block cache tier end to end: block reuse
+// between different whole-matrix requests (byte-identical trees warm vs
+// cold), perturbed resubmissions re-solving exactly the dirty blocks,
+// and restart recovery of block-namespace entries through the durable
+// cache store.
 //
 // The workloads are "module compositions": small matrices placed
 // block-diagonally at a cross distance far above any module's diameter,
@@ -15,10 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "matrix/Fingerprint.h"
 #include "matrix/Generators.h"
-#include "matrix/MatrixDiff.h"
-#include "service/IncrementalIndex.h"
 #include "service/Service.h"
 
 #include <gtest/gtest.h>
@@ -67,11 +63,9 @@ DistanceMatrix compose(const std::vector<std::pair<int, std::uint64_t>> &Specs) 
   return Out;
 }
 
-BuildResponse solveOn(TreeService &Service, const DistanceMatrix &M,
-                      bool Incremental = false) {
+BuildResponse solveOn(TreeService &Service, const DistanceMatrix &M) {
   BuildRequest Request;
   Request.Matrix = M;
-  Request.Incremental = Incremental;
   BuildResponse Resp = Service.submit(std::move(Request));
   EXPECT_TRUE(Resp.ok()) << Resp.Message;
   return Resp;
@@ -96,115 +90,6 @@ public:
 private:
   std::string Path;
 };
-
-//===----------------------------------------------------------------------===//
-// MatrixDiff: the detection half of incremental mode
-//===----------------------------------------------------------------------===//
-
-TEST(MatrixDiff, IdenticalMatricesHaveZeroDelta) {
-  DistanceMatrix M = uniformRandomMetric(8, 7);
-  MatrixDelta Delta = diffMatrices(M, M);
-  EXPECT_TRUE(Delta.Comparable);
-  EXPECT_EQ(Delta.CommonTaxa, 8);
-  EXPECT_EQ(Delta.TaxaAdded, 0);
-  EXPECT_EQ(Delta.TaxaRemoved, 0);
-  EXPECT_EQ(Delta.EntriesChanged, 0);
-  EXPECT_TRUE(Delta.DirtySpecies.empty());
-}
-
-TEST(MatrixDiff, ChangedEntryDirtiesBothEndpoints) {
-  DistanceMatrix Base = uniformRandomMetric(8, 7);
-  DistanceMatrix M = Base;
-  M.set(2, 5, Base.at(2, 5) * 1.1);
-  MatrixDelta Delta = diffMatrices(Base, M);
-  EXPECT_TRUE(Delta.Comparable);
-  EXPECT_EQ(Delta.EntriesChanged, 1);
-  EXPECT_EQ(Delta.DirtySpecies, (std::vector<int>{2, 5}));
-}
-
-TEST(MatrixDiff, AddedTaxonIsDirtyRemovedIsCounted) {
-  DistanceMatrix Base = uniformRandomMetric(6, 3);
-  // Drop s0, append a fresh taxon at the end.
-  DistanceMatrix M(6);
-  for (int I = 0; I < 5; ++I)
-    M.setName(I, Base.name(I + 1));
-  M.setName(5, "fresh");
-  for (int I = 0; I < 5; ++I)
-    for (int J = I + 1; J < 5; ++J)
-      M.set(I, J, Base.at(I + 1, J + 1));
-  for (int I = 0; I < 5; ++I)
-    M.set(I, 5, 42.0);
-  MatrixDelta Delta = diffMatrices(Base, M);
-  EXPECT_TRUE(Delta.Comparable);
-  EXPECT_EQ(Delta.CommonTaxa, 5);
-  EXPECT_EQ(Delta.TaxaAdded, 1);
-  EXPECT_EQ(Delta.TaxaRemoved, 1);
-  EXPECT_EQ(Delta.EntriesChanged, 0);
-  EXPECT_EQ(Delta.DirtySpecies, (std::vector<int>{5}));
-}
-
-TEST(MatrixDiff, DisjointNamesAreNotComparable) {
-  DistanceMatrix A = uniformRandomMetric(4, 1);
-  DistanceMatrix B = uniformRandomMetric(4, 2);
-  for (int I = 0; I < 4; ++I)
-    B.setName(I, "other" + std::to_string(I));
-  EXPECT_FALSE(diffMatrices(A, B).Comparable);
-}
-
-TEST(MatrixDiff, ToleranceAbsorbsSmallNoise) {
-  DistanceMatrix Base = uniformRandomMetric(6, 9);
-  DistanceMatrix M = Base;
-  M.set(1, 3, Base.at(1, 3) + 1e-9);
-  EXPECT_EQ(diffMatrices(Base, M).EntriesChanged, 1);
-  EXPECT_EQ(diffMatrices(Base, M, 1e-6).EntriesChanged, 0);
-}
-
-//===----------------------------------------------------------------------===//
-// IncrementalIndex: the remembered-base LRU
-//===----------------------------------------------------------------------===//
-
-TEST(IncrementalIndex, RemembersAndMatchesSmallestDelta) {
-  IncrementalIndex Index(4);
-  DistanceMatrix Near = uniformRandomMetric(8, 1);
-  DistanceMatrix Far = uniformRandomMetric(8, 2);
-  Index.remember(Far, canonicalForm(Far).Key);
-  Index.remember(Near, canonicalForm(Near).Key);
-  EXPECT_EQ(Index.size(), 2u);
-
-  DistanceMatrix M = Near;
-  M.set(0, 1, Near.at(0, 1) * 1.1);
-  auto Match = Index.bestBase(M, 2, 8);
-  ASSERT_TRUE(Match.has_value());
-  EXPECT_EQ(Match->Delta.EntriesChanged, 1);
-  EXPECT_EQ(Match->Delta.DirtySpecies, (std::vector<int>{0, 1}));
-}
-
-TEST(IncrementalIndex, DedupesByFingerprintAndEvictsLru) {
-  IncrementalIndex Index(2);
-  DistanceMatrix A = uniformRandomMetric(6, 1);
-  DistanceMatrix B = uniformRandomMetric(6, 2);
-  DistanceMatrix C = uniformRandomMetric(6, 3);
-  Index.remember(A, canonicalForm(A).Key);
-  Index.remember(A, canonicalForm(A).Key);
-  EXPECT_EQ(Index.size(), 1u);
-  Index.remember(B, canonicalForm(B).Key);
-  Index.remember(C, canonicalForm(C).Key); // Evicts A.
-  EXPECT_EQ(Index.size(), 2u);
-  DistanceMatrix NearA = A;
-  NearA.set(0, 1, A.at(0, 1) * 1.1);
-  EXPECT_FALSE(Index.bestBase(NearA, 0, 8).has_value());
-}
-
-TEST(IncrementalIndex, ThresholdsRejectLargeDeltas) {
-  IncrementalIndex Index(2);
-  DistanceMatrix A = uniformRandomMetric(8, 5);
-  Index.remember(A, canonicalForm(A).Key);
-  DistanceMatrix M = A;
-  M.set(0, 1, A.at(0, 1) * 1.1);
-  M.set(2, 3, A.at(2, 3) * 1.1);
-  EXPECT_TRUE(Index.bestBase(M, 2, 2).has_value());
-  EXPECT_FALSE(Index.bestBase(M, 2, 1).has_value());
-}
 
 //===----------------------------------------------------------------------===//
 // Cross-request block reuse
@@ -259,7 +144,7 @@ TEST(BlockCache, WholeMatrixReplayStaysByteIdentical) {
 }
 
 //===----------------------------------------------------------------------===//
-// Incremental re-solve: only dirty blocks pay
+// Perturbed resubmissions: only dirty blocks pay
 //===----------------------------------------------------------------------===//
 
 TEST(Incremental, PerturbedEntryResolvesOnlyTheDirtyModule) {
@@ -272,7 +157,6 @@ TEST(Incremental, PerturbedEntryResolvesOnlyTheDirtyModule) {
 
   ServiceOptions Options;
   Options.NumWorkers = 1;
-  Options.Incremental = true;
   TreeService Service(Options);
   // The cold base solve runs every block; its dirty count is the total
   // block count of this decomposition.
@@ -281,19 +165,10 @@ TEST(Incremental, PerturbedEntryResolvesOnlyTheDirtyModule) {
   EXPECT_EQ(BaseResp.CleanBlocks, 0u);
   EXPECT_GE(TotalBlocks, 5u);
 
-  BuildResponse Resp = solveOn(Service, M, /*Incremental=*/true);
+  BuildResponse Resp = solveOn(Service, M);
   EXPECT_FALSE(Resp.CacheHit);
-  EXPECT_TRUE(Resp.IncrementalApplied);
-  EXPECT_EQ(Resp.EntriesChanged, 1);
-  EXPECT_EQ(Resp.TaxaAdded, 0);
-  EXPECT_EQ(Resp.TaxaRemoved, 0);
   EXPECT_EQ(Resp.DirtyBlocks, 1u);
   EXPECT_EQ(Resp.CleanBlocks, TotalBlocks - 1);
-
-  StatsSnapshot S = Service.stats();
-  EXPECT_EQ(S.IncrementalApplied, 1u);
-  EXPECT_EQ(S.IncrementalDirty, 1u);
-  EXPECT_EQ(S.IncrementalClean, TotalBlocks - 1);
   Service.stop();
 
   // The reused blocks must not change the answer.
@@ -322,16 +197,11 @@ TEST(Incremental, OneTaxonPerturbationResolvesOnlyAffectedBlocks) {
 
   ServiceOptions Options;
   Options.NumWorkers = 1;
-  Options.Incremental = true;
   TreeService Service(Options);
   BuildResponse BaseResp = solveOn(Service, Base);
   std::uint32_t TotalBlocks = BaseResp.DirtyBlocks;
 
-  BuildResponse Resp = solveOn(Service, M, /*Incremental=*/true);
-  EXPECT_TRUE(Resp.IncrementalApplied);
-  EXPECT_EQ(Resp.TaxaAdded, 1);
-  EXPECT_EQ(Resp.TaxaRemoved, 0);
-  EXPECT_EQ(Resp.EntriesChanged, 0);
+  BuildResponse Resp = solveOn(Service, M);
   // Only the block(s) the new taxon lands in re-solve; every module the
   // taxon avoids — and the unchanged merge structure above them —
   // replays from the block cache.
@@ -358,50 +228,15 @@ TEST(Incremental, RemovedTaxonResolvesOnlyItsModule) {
 
   ServiceOptions Options;
   Options.NumWorkers = 1;
-  Options.Incremental = true;
   TreeService Service(Options);
   BuildResponse BaseResp = solveOn(Service, Base);
   std::uint32_t TotalBlocks = BaseResp.DirtyBlocks;
 
-  BuildResponse Resp = solveOn(Service, M, /*Incremental=*/true);
-  EXPECT_TRUE(Resp.IncrementalApplied);
-  EXPECT_EQ(Resp.TaxaAdded, 0);
-  EXPECT_EQ(Resp.TaxaRemoved, 1);
+  BuildResponse Resp = solveOn(Service, M);
   // The shrunken module's block plus the merge node above it re-solve;
   // everything untouched by the removal replays.
   EXPECT_LE(Resp.DirtyBlocks, 2u);
   EXPECT_GE(Resp.CleanBlocks, TotalBlocks - 2);
-  Service.stop();
-}
-
-TEST(Incremental, NoQualifyingBaseFallsBackToFullSolve) {
-  DistanceMatrix Base = compose({{5, 1}, {5, 2}});
-  DistanceMatrix Unrelated = compose({{5, 8}, {5, 9}});
-
-  ServiceOptions Options;
-  Options.NumWorkers = 1;
-  Options.Incremental = true;
-  TreeService Service(Options);
-  solveOn(Service, Base);
-
-  BuildResponse Resp = solveOn(Service, Unrelated, /*Incremental=*/true);
-  EXPECT_TRUE(Resp.ok());
-  EXPECT_FALSE(Resp.IncrementalApplied);
-  EXPECT_TRUE(Resp.Exact);
-  EXPECT_EQ(Service.stats().IncrementalApplied, 0u);
-  Service.stop();
-}
-
-TEST(Incremental, FlagIsIgnoredWhenServiceIndexIsOff) {
-  // `--incremental` is a service-side opt-in; a request flag against a
-  // plain service must degrade to a normal solve.
-  DistanceMatrix M = compose({{5, 1}, {5, 2}});
-  ServiceOptions Options;
-  Options.NumWorkers = 1;
-  TreeService Service(Options);
-  BuildResponse Resp = solveOn(Service, M, /*Incremental=*/true);
-  EXPECT_TRUE(Resp.ok());
-  EXPECT_FALSE(Resp.IncrementalApplied);
   Service.stop();
 }
 

@@ -106,6 +106,26 @@ TEST(LintGate, UndocumentedMetricIsRejected) {
   EXPECT_NE(Out.find("mutk_bogus_total"), std::string::npos) << Out;
 }
 
+TEST(LintGate, StaleCatalogRowIsRejected) {
+  FixtureTree Tree;
+  Tree.write("src/obs/Good.cpp",
+             "const char *a() { return \"mutk_documented_total\"; }\n"
+             "const char *b() { return \"mutk_sharded_total\"; }\n");
+  Tree.write("docs/observability.md",
+             "# Metrics\n\n"
+             "| name | type | meaning |\n"
+             "|---|---|---|\n"
+             "| `mutk_documented_total` | counter | still registered |\n"
+             "| `mutk_sharded_total{shard=\"i\"}` | counter | per shard |\n"
+             "| `mutk_retired_total` | counter | no longer registered |\n");
+  std::string Out;
+  EXPECT_NE(Tree.lint(Out), 0) << Out;
+  EXPECT_NE(Out.find("registered nowhere in src/obs/: mutk_retired_total"),
+            std::string::npos)
+      << Out;
+  EXPECT_EQ(Out.find("mutk_sharded_total"), std::string::npos) << Out;
+}
+
 TEST(LintGate, RawMutexMemberIsRejected) {
   FixtureTree Tree;
   Tree.write("src/unannotated.h",

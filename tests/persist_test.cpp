@@ -118,6 +118,15 @@ void truncateTail(const std::string &Path, std::size_t N) {
   ASSERT_TRUE(persist::writeFileAtomic(Path, *Bytes));
 }
 
+/// Species indices rotated by \p Shift: new index k is old index
+/// (k + Shift) mod \p N, for `DistanceMatrix::permuted`.
+std::vector<int> rotation(int N, int Shift) {
+  std::vector<int> Perm(static_cast<std::size_t>(N));
+  for (int K = 0; K < N; ++K)
+    Perm[static_cast<std::size_t>(K)] = (K + Shift) % N;
+  return Perm;
+}
+
 /// A realistic durable record: a solved small matrix in canonical form,
 /// its identity followed by the whole-matrix knob bytes (mode, polish).
 persist::DurableCacheRecord makeRecord(std::uint64_t Seed) {
@@ -597,7 +606,7 @@ TEST(Resume, SequentialResumesToIdenticalCost) {
   MutResult Partial = solveMutSequential(M, Interrupted);
   ASSERT_FALSE(Partial.Stats.Complete);
   ASSERT_GT(Sink.Count, 0u);
-  EXPECT_EQ(Sink.Last.MatrixKey, fingerprint(M));
+  EXPECT_EQ(Sink.Last.MatrixKey, labeledKey(M));
 
   BnbOptions Resume;
   Resume.ResumeFrom = &Sink.Last;
@@ -698,6 +707,39 @@ TEST(Resume, MismatchedMatrixStartsFresh) {
   MutResult RefB = solveMutSequential(B);
   EXPECT_TRUE(RB.Stats.Complete);
   EXPECT_NEAR(RB.Cost, RefB.Cost, 1e-9);
+}
+
+TEST(Resume, RelabeledTwinStartsFresh) {
+  // A relabeling of M shares its canonical key, and so the pipeline's
+  // checkpoint file, but M's checkpoint names species by M's indices.
+  // Resumed on the twin it would search the wrong labels and could
+  // report a tree below the twin's optimum as complete.
+  int Probed = 0;
+  for (std::uint64_t Seed = 1; Seed <= 20; ++Seed) {
+    DistanceMatrix M = uniformRandomMetric(14, Seed);
+    std::vector<int> Perm = rotation(14, 5);
+    std::swap(Perm[0], Perm[3]);
+    DistanceMatrix Twin = M.permuted(Perm);
+    ASSERT_EQ(fingerprint(Twin), fingerprint(M));
+
+    MemorySink Sink;
+    BnbOptions Interrupted;
+    Interrupted.Checkpoint = &Sink;
+    Interrupted.CheckpointEveryNodes = 50;
+    Interrupted.MaxBranchedNodes = 400;
+    if (solveMutSequential(M, Interrupted).Stats.Complete || Sink.Count == 0)
+      continue;
+    ++Probed;
+
+    BnbOptions Resume;
+    Resume.ResumeFrom = &Sink.Last;
+    MutResult Done = solveMutSequential(Twin, Resume);
+    MutResult Fresh = solveMutSequential(Twin);
+    EXPECT_TRUE(Done.Stats.Complete) << "seed " << Seed;
+    EXPECT_NEAR(Done.Cost, Fresh.Cost, 1e-9) << "seed " << Seed;
+    EXPECT_TRUE(Done.Tree.dominatesMatrix(Twin)) << "seed " << Seed;
+  }
+  EXPECT_GT(Probed, 0);
 }
 
 TEST(Resume, CheckpointCodecRoundTrip) {
@@ -810,6 +852,46 @@ TEST(PipelineCheckpoint, HooksProduceSameTreeAndCleanUp) {
   EXPECT_TRUE(std::filesystem::is_empty(Dir.path()));
 }
 
+TEST(PipelineCheckpoint, RelabeledTwinSolvesFreshInsteadOfResuming) {
+  // Files are named by the block's canonical key, as the service names
+  // them, so a relabeled twin finds the state a truncated run of the
+  // other labeling left. It must delete it and solve fresh.
+  ScratchDir Dir("twin");
+  DistanceMatrix M = uniformRandomMetric(15, 19);
+  DistanceMatrix Twin = M.permuted(rotation(15, 4));
+
+  auto PathFor = [&](std::uint64_t Key) {
+    return Dir.file(std::to_string(Key) + ".ckpt");
+  };
+  BlockCheckpointHooks Hooks;
+  Hooks.SinkFor = [&](std::uint64_t Key) {
+    return std::make_unique<persist::FileCheckpointSink>(PathFor(Key));
+  };
+  Hooks.Load = [&](std::uint64_t Key) {
+    return persist::loadCheckpoint(PathFor(Key));
+  };
+  Hooks.Done = [&](std::uint64_t Key) { persist::removeCheckpoint(PathFor(Key)); };
+
+  PipelineOptions Capped;
+  Capped.BlockCheckpoint = &Hooks;
+  Capped.Bnb.CheckpointEveryNodes = 50;
+  Capped.Bnb.MaxBranchedNodes = 300;
+  buildCompactSetTree(M, Capped);
+  ASSERT_FALSE(std::filesystem::is_empty(Dir.path()))
+      << "the capped run must leave a checkpoint";
+
+  PipelineOptions Resumed;
+  Resumed.BlockCheckpoint = &Hooks;
+  Resumed.Bnb.CheckpointEveryNodes = 50;
+  PipelineResult R = buildCompactSetTree(Twin, Resumed);
+  PipelineResult Fresh = buildCompactSetTree(Twin);
+  for (const BlockReport &B : R.Blocks)
+    EXPECT_TRUE(B.Exact);
+  EXPECT_NEAR(R.Cost, Fresh.Cost, 1e-9);
+  EXPECT_TRUE(R.Tree.dominatesMatrix(Twin));
+  EXPECT_TRUE(std::filesystem::is_empty(Dir.path()));
+}
+
 //===----------------------------------------------------------------------===//
 // Service restart recovery
 //===----------------------------------------------------------------------===//
@@ -894,6 +976,35 @@ TEST(ServiceRecovery, JournaledJobIsReRunAfterCrash) {
     Service.stop();
   }
   // And the journal no longer lists the job as pending.
+  persist::JobJournal Journal(Dir.path());
+  EXPECT_TRUE(Journal.load().empty());
+}
+
+TEST(ServiceRecovery, JournaledJobOfAnotherVersionIsLoggedAndDropped) {
+  // A job journaled by a daemon speaking another protocol version does
+  // not decode after an upgrade: start-up marks it done, says so at
+  // Warn, and runs nothing.
+  ScratchDir Dir("svc_old_job");
+  BuildRequest Req;
+  Req.Matrix = uniformRandomMetric(6, 3);
+  std::vector<std::uint8_t> Old = encodeRequest(makeBuildRequest(Req));
+  Old[1] = static_cast<std::uint8_t>(ServiceProtocolVersion - 1);
+  {
+    persist::JobJournal Journal(Dir.path());
+    ASSERT_TRUE(Journal.submitted(9, Old));
+  }
+  ServiceOptions Options;
+  Options.NumWorkers = 1;
+  Options.StateDir = Dir.path();
+  {
+    LogCapture Capture;
+    TreeService Service(Options);
+    Service.stop();
+    EXPECT_TRUE(Capture.contains("dropped journaled job"));
+    EXPECT_TRUE(Capture.contains("journal_id=9"));
+    EXPECT_TRUE(Capture.contains("protocol version mismatch"));
+    EXPECT_EQ(Service.stats().Accepted, 0u);
+  }
   persist::JobJournal Journal(Dir.path());
   EXPECT_TRUE(Journal.load().empty());
 }

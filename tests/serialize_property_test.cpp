@@ -76,7 +76,7 @@ SearchCheckpoint randomCheckpoint(const DistanceMatrix &M, Rng &R) {
   Ck.Stats.PrunedByThreeThree = R.next() % 100000;
   Ck.Stats.UbUpdates = R.next() % 1000;
   Ck.Stats.Complete = (R.next() & 1) != 0;
-  Ck.MatrixKey = fingerprint(M);
+  Ck.MatrixKey = labeledKey(M);
   return Ck;
 }
 
@@ -208,7 +208,6 @@ TEST(ProtocolCodec, RandomBuildRequestsRoundTrip) {
     Build.NodeBudget = R.next() % 1000000;
     Build.DeadlineMillis = static_cast<std::uint32_t>(R.below(100000));
     Build.UseCache = (R.next() & 1) != 0;
-    Build.Incremental = (R.next() & 1) != 0;
     Build.Priority = static_cast<RequestPriority>(R.below(3));
     Build.Tenant = (R.next() & 1) ? "tenant-" + std::to_string(R.below(10))
                                   : std::string();
@@ -224,7 +223,6 @@ TEST(ProtocolCodec, RandomBuildRequestsRoundTrip) {
     EXPECT_EQ(Back->Build.NodeBudget, Build.NodeBudget);
     EXPECT_EQ(Back->Build.DeadlineMillis, Build.DeadlineMillis);
     EXPECT_EQ(Back->Build.UseCache, Build.UseCache);
-    EXPECT_EQ(Back->Build.Incremental, Build.Incremental);
     EXPECT_EQ(Back->Build.Priority, Build.Priority);
     EXPECT_EQ(Back->Build.Tenant, Build.Tenant);
   }
@@ -250,12 +248,8 @@ TEST(ProtocolCodec, RandomBuildResponsesRoundTrip) {
       S.FromCache = (R.next() & 1) != 0;
       Resp.Build.Blocks.push_back(S);
     }
-    Resp.Build.IncrementalApplied = (R.next() & 1) != 0;
     Resp.Build.DirtyBlocks = static_cast<std::uint32_t>(R.below(20));
     Resp.Build.CleanBlocks = static_cast<std::uint32_t>(R.below(20));
-    Resp.Build.TaxaAdded = static_cast<std::int32_t>(R.below(3));
-    Resp.Build.TaxaRemoved = static_cast<std::int32_t>(R.below(3));
-    Resp.Build.EntriesChanged = static_cast<std::int32_t>(R.below(9));
     Resp.Build.QueueMillis = static_cast<double>(R.below(5000)) / 16.0;
     Resp.Build.SolveMillis = static_cast<double>(R.below(5000)) / 16.0;
     Resp.Build.Tier = static_cast<QosTier>(R.below(3));
@@ -278,12 +272,8 @@ TEST(ProtocolCodec, RandomBuildResponsesRoundTrip) {
       EXPECT_EQ(Back->Build.Blocks[B].FromCache,
                 Resp.Build.Blocks[B].FromCache);
     }
-    EXPECT_EQ(Back->Build.IncrementalApplied, Resp.Build.IncrementalApplied);
     EXPECT_EQ(Back->Build.DirtyBlocks, Resp.Build.DirtyBlocks);
     EXPECT_EQ(Back->Build.CleanBlocks, Resp.Build.CleanBlocks);
-    EXPECT_EQ(Back->Build.TaxaAdded, Resp.Build.TaxaAdded);
-    EXPECT_EQ(Back->Build.TaxaRemoved, Resp.Build.TaxaRemoved);
-    EXPECT_EQ(Back->Build.EntriesChanged, Resp.Build.EntriesChanged);
     EXPECT_DOUBLE_EQ(Back->Build.QueueMillis, Resp.Build.QueueMillis);
     EXPECT_DOUBLE_EQ(Back->Build.SolveMillis, Resp.Build.SolveMillis);
     EXPECT_EQ(Back->Build.Tier, Resp.Build.Tier);
@@ -330,8 +320,17 @@ std::string hexOf(const std::vector<std::uint8_t> &Bytes) {
   return Out;
 }
 
+/// The bytes a lower-case hex string spells (the inverse of `hexOf`).
+std::vector<std::uint8_t> bytesOf(const std::string &Hex) {
+  std::vector<std::uint8_t> Out;
+  for (std::size_t I = 0; I + 1 < Hex.size(); I += 2)
+    Out.push_back(
+        static_cast<std::uint8_t>(std::stoul(Hex.substr(I, 2), nullptr, 16)));
+  return Out;
+}
+
 TEST(ProtocolCodec, BuildRequestBytesArePinned) {
-  // Protocol v3 on the wire: changing these bytes is a format change
+  // Protocol v4 on the wire: changing these bytes is a format change
   // that must bump ServiceProtocolVersion.
   BuildRequest Build;
   Build.Matrix = DistanceMatrix({"human", "chimp", "gorilla"});
@@ -342,7 +341,7 @@ TEST(ProtocolCodec, BuildRequestBytesArePinned) {
   Build.Tenant = "lab";
   const std::string Pinned =
       "01"                           // verb Build
-      "03000000"                     // version 3
+      "04000000"                     // version 4
       "00"                           // inline matrix
       "03000000"                     // 3 species
       "05000000" "68756d616e"        // "human"
@@ -358,11 +357,24 @@ TEST(ProtocolCodec, BuildRequestBytesArePinned) {
       "0000000000000000"             // no node budget
       "fa000000"                     // deadline 250 ms
       "01"                           // use cache
-      "00"                           // not incremental
       "01"                           // priority normal
       "03000000" "6c6162";           // tenant "lab"
   EXPECT_EQ(hexOf(encodeBuildRequest(Build)), Pinned);
   EXPECT_EQ(encodeRequest(makeBuildRequest(Build)), encodeBuildRequest(Build));
+
+  // The same request as a v3 client encodes it (one more byte, the
+  // incremental flag, after "use cache"): a v4 decoder refuses it by
+  // its version before reading any field.
+  const std::string V3 =
+      "01" "03000000" "00" "03000000"
+      "05000000" "68756d616e" "05000000" "6368696d70"
+      "07000000" "676f72696c6c61"
+      "0000000000000840" "0000000000001640" "000000000000c03f"
+      "00" "01" "10000000" "00" "0000000000000000" "fa000000"
+      "01" "00" "01" "03000000" "6c6162";
+  std::string Error;
+  EXPECT_FALSE(decodeRequest(bytesOf(V3), &Error).has_value());
+  EXPECT_EQ(Error, "protocol version mismatch");
 }
 
 TEST(CheckpointCodec, CheckpointBytesArePinned) {
@@ -498,7 +510,7 @@ TEST(ProtocolCodec, BuildRequestEmbedsTheMatrixCodec) {
 }
 
 TEST(ProtocolCodec, StatsBytesArePinned) {
-  // Protocol v3 Stats answer: a distinct value in every field, so a
+  // Protocol v4 Stats answer: a distinct value in every field, so a
   // reordered, dropped or doubled field changes these bytes.
   Response R;
   R.V = Verb::Stats;
@@ -511,19 +523,16 @@ TEST(ProtocolCodec, StatsBytesArePinned) {
   S.BlockHits = 6;
   S.BlockMisses = 7;
   S.BlockRemoteHits = 8;
-  S.IncrementalApplied = 9;
-  S.IncrementalDirty = 10;
-  S.IncrementalClean = 11;
-  S.DeadlineExpired = 12;
-  S.Rejected = 13;
-  S.Shed = 14;
-  S.RateLimited = 15;
-  S.TierExact = 16;
-  S.TierPipeline = 17;
-  S.TierHeuristic = 18;
-  S.Coalesced = 19;
-  S.QueueDepth = 20;
-  S.CacheEntries = 21;
+  S.DeadlineExpired = 9;
+  S.Rejected = 10;
+  S.Shed = 11;
+  S.RateLimited = 12;
+  S.TierExact = 13;
+  S.TierPipeline = 14;
+  S.TierHeuristic = 15;
+  S.Coalesced = 16;
+  S.QueueDepth = 17;
+  S.CacheEntries = 18;
   S.P50Millis = 1.5;
   S.P95Millis = 2.25;
   const std::string Pinned =
@@ -538,19 +547,16 @@ TEST(ProtocolCodec, StatsBytesArePinned) {
       "0600000000000000"   // block hits 6
       "0700000000000000"   // block misses 7
       "0800000000000000"   // block remote hits 8
-      "0900000000000000"   // incremental applied 9
-      "0a00000000000000"   // incremental dirty 10
-      "0b00000000000000"   // incremental clean 11
-      "0c00000000000000"   // deadline expired 12
-      "0d00000000000000"   // rejected 13
-      "0e00000000000000"   // shed 14
-      "0f00000000000000"   // rate limited 15
-      "1000000000000000"   // tier exact 16
-      "1100000000000000"   // tier pipeline 17
-      "1200000000000000"   // tier heuristic 18
-      "1300000000000000"   // coalesced 19
-      "1400000000000000"   // queue depth 20
-      "1500000000000000"   // cache entries 21
+      "0900000000000000"   // deadline expired 9
+      "0a00000000000000"   // rejected 10
+      "0b00000000000000"   // shed 11
+      "0c00000000000000"   // rate limited 12
+      "0d00000000000000"   // tier exact 13
+      "0e00000000000000"   // tier pipeline 14
+      "0f00000000000000"   // tier heuristic 15
+      "1000000000000000"   // coalesced 16
+      "1100000000000000"   // queue depth 17
+      "1200000000000000"   // cache entries 18
       "000000000000f83f"   // p50 1.5 ms
       "0000000000000240";  // p95 2.25 ms
   std::vector<std::uint8_t> Bytes = encodeResponse(R);

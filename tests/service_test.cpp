@@ -738,10 +738,9 @@ TEST(Protocol, RejectsMatrixHeaderWithoutBody) {
 TEST(Protocol, RejectsNegativeAndNanDistances) {
   // DistanceMatrix itself refuses such values (asserts in debug), so
   // forge them on the wire: overwrite the single f64 distance of a
-  // 2-species request. It sits right before the 26 trailing bytes of
+  // 2-species request. It sits right before the 25 trailing bytes of
   // knob fields (mode u8, 3-3 u8, cap i32, polish u8, budget u64,
-  // deadline u32, cache u8, incremental u8, priority u8, empty tenant
-  // u32 length).
+  // deadline u32, cache u8, priority u8, empty tenant u32 length).
   DistanceMatrix M(2);
   M.set(0, 1, 3.0);
   BuildRequest R;
@@ -753,7 +752,7 @@ TEST(Protocol, RejectsNegativeAndNanDistances) {
     std::vector<std::uint8_t> Forged = Good;
     std::uint64_t Bits = 0;
     std::memcpy(&Bits, &Value, sizeof(Bits));
-    std::size_t Offset = Forged.size() - 26 - 8;
+    std::size_t Offset = Forged.size() - 25 - 8;
     for (int I = 0; I < 8; ++I)
       Forged[Offset + static_cast<std::size_t>(I)] =
           static_cast<std::uint8_t>(Bits >> (8 * I));
@@ -1119,12 +1118,6 @@ const CounterTwin CounterTwins[] = {
      "mutk_block_cache_misses_total"},
     {"block_remote_hits", &StatsSnapshot::BlockRemoteHits,
      "mutk_block_cache_remote_hits_total"},
-    {"incremental_applied", &StatsSnapshot::IncrementalApplied,
-     "mutk_incremental_applied_total"},
-    {"incremental_dirty", &StatsSnapshot::IncrementalDirty,
-     "mutk_incremental_dirty_blocks_total"},
-    {"incremental_clean", &StatsSnapshot::IncrementalClean,
-     "mutk_incremental_clean_blocks_total"},
     {"deadline_expired", &StatsSnapshot::DeadlineExpired,
      "mutk_service_deadline_expired_total"},
     {"rejected", &StatsSnapshot::Rejected, "mutk_service_rejected_total"},
@@ -1165,14 +1158,13 @@ std::uint64_t registryCounter(const std::string &Name) {
 
 } // namespace
 
-// One worker walks a fixed script that moves every counter row a QoS +
-// incremental service can move without a cluster. Pins `stats()` and the
+// One worker walks a fixed script that moves every counter row a QoS
+// service can move without a cluster. Pins `stats()` and the
 // `service` section of StatsJson (latency quantiles aside).
 TEST(ServiceStats, ScenarioCountsArePinned) {
   ServiceOptions Options;
   Options.NumWorkers = 1;
   Options.MaxSpecies = 30;
-  Options.Incremental = true;
   Options.Qos.Enabled = true;
   TreeService Service(Options);
 
@@ -1183,8 +1175,8 @@ TEST(ServiceStats, ScenarioCountsArePinned) {
   Hopeless.DeadlineMillis = 1;
   EXPECT_EQ(Service.submit(Hopeless).Error, ServiceError::Shed);
 
-  // A cold solve, its whole-matrix replay, and an incremental
-  // perturbation that replays the clean blocks.
+  // A cold solve, its whole-matrix replay, and a perturbation that
+  // replays the clean blocks.
   DistanceMatrix X = twoModuleMatrix();
   BuildResponse Cold = Service.submit(buildOf(X));
   ASSERT_TRUE(Cold.ok()) << Cold.Message;
@@ -1192,9 +1184,7 @@ TEST(ServiceStats, ScenarioCountsArePinned) {
   EXPECT_TRUE(Service.submit(buildOf(X)).CacheHit);
   DistanceMatrix Near = X;
   Near.set(0, 1, X.at(0, 1) * 1.05);
-  BuildRequest Perturbed = buildOf(Near);
-  Perturbed.Incremental = true;
-  EXPECT_TRUE(Service.submit(Perturbed).IncrementalApplied);
+  EXPECT_EQ(Service.submit(buildOf(Near)).CleanBlocks, 4u);
 
   // Failed: over the service's species cap.
   EXPECT_EQ(Service.submit(buildOf(uniformRandomMetric(31, 3))).Error,
@@ -1227,13 +1217,11 @@ TEST(ServiceStats, ScenarioCountsArePinned) {
       {"failed", 2},             {"whole_hits", 1},
       {"whole_misses", 2},       {"block_hits", 4},
       {"block_misses", 6},       {"block_remote_hits", 0},
-      {"incremental_applied", 1}, {"incremental_dirty", 1},
-      {"incremental_clean", 4},  {"deadline_expired", 1},
-      {"rejected", 2},           {"shed", 1},
-      {"rate_limited", 0},       {"tier_exact", 7},
-      {"tier_pipeline", 0},      {"tier_heuristic", 0},
-      {"coalesced", 1},          {"queue_depth", 0},
-      {"cache_entries", 8},
+      {"deadline_expired", 1},   {"rejected", 2},
+      {"shed", 1},               {"rate_limited", 0},
+      {"tier_exact", 7},         {"tier_pipeline", 0},
+      {"tier_heuristic", 0},     {"coalesced", 1},
+      {"queue_depth", 0},        {"cache_entries", 8},
   };
   auto pinned = [&](const std::string &Key) -> std::uint64_t {
     for (const auto &[Name, Value] : Pinned)
@@ -1263,19 +1251,16 @@ TEST(ServiceStats, EachServiceCountsItsOwnRequestsAndTheRegistryTheSum) {
 
   ServiceOptions Options;
   Options.NumWorkers = 1;
-  Options.Incremental = true;
   Options.Qos.Enabled = true;
   TreeService A(Options);
   TreeService B(Options);
   DistanceMatrix X = twoModuleMatrix();
   DistanceMatrix Near = X;
   Near.set(0, 1, X.at(0, 1) * 1.05);
-  BuildRequest Perturbed = buildOf(Near);
-  Perturbed.Incremental = true;
 
   ASSERT_TRUE(A.submit(buildOf(X)).ok());
   EXPECT_TRUE(A.submit(buildOf(X)).CacheHit);
-  EXPECT_TRUE(A.submit(Perturbed).IncrementalApplied);
+  EXPECT_EQ(A.submit(buildOf(Near)).CleanBlocks, 4u);
   // B has its own cache: the same matrix misses there.
   EXPECT_FALSE(B.submit(buildOf(X)).CacheHit);
   A.stop();
@@ -1287,12 +1272,10 @@ TEST(ServiceStats, EachServiceCountsItsOwnRequestsAndTheRegistryTheSum) {
   EXPECT_EQ(SA.Accepted, 3u);
   EXPECT_EQ(SA.WholeHits, 1u);
   EXPECT_EQ(SA.WholeMisses, 2u);
-  EXPECT_EQ(SA.IncrementalApplied, 1u);
   EXPECT_EQ(SA.Rejected, 0u);
   EXPECT_EQ(SB.Accepted, 1u);
   EXPECT_EQ(SB.WholeHits, 0u);
   EXPECT_EQ(SB.WholeMisses, 1u);
-  EXPECT_EQ(SB.IncrementalApplied, 0u);
   EXPECT_EQ(SB.Rejected, 1u);
   for (std::size_t I = 0; I < std::size(CounterTwins); ++I) {
     const CounterTwin &T = CounterTwins[I];
