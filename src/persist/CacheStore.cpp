@@ -178,8 +178,13 @@ bool CacheStore::compact(const std::vector<DurableCacheRecord> &All) {
     Ok = Log.rewrite({});
   obs::persistInstruments().SnapshotWrites.inc();
   publishSizes();
-  obs::log(obs::LogLevel::Info, "persist", "cache compacted")
-      .kv("records", static_cast<std::uint64_t>(All.size()))
-      .kv("snapshot_bytes", Snapshot.bytes());
+  if (Ok)
+    obs::log(obs::LogLevel::Info, "persist", "cache compacted")
+        .kv("records", static_cast<std::uint64_t>(All.size()))
+        .kv("snapshot_bytes", Snapshot.bytes());
+  else
+    obs::log(obs::LogLevel::Warn, "persist", "cache compaction failed")
+        .kv("records", static_cast<std::uint64_t>(All.size()))
+        .kv("wal_bytes", Log.bytes());
   return Ok;
 }

@@ -99,6 +99,9 @@ public:
   std::uint64_t lastSeq() const { return Log.lastSeq(); }
 
   /// Rewrites the snapshot to exactly \p All and truncates the WAL.
+  /// \returns false, logged at Warn, when either rewrite failed; the WAL
+  /// then keeps its records. Every attempt counts in
+  /// `mutk_persist_snapshot_writes_total`.
   bool compact(const std::vector<DurableCacheRecord> &All);
 
   std::uint64_t walBytes() const { return Log.bytes(); }

@@ -8,6 +8,11 @@
 /// a wrong cached tree. Self-contained table implementation: the repo
 /// takes no dependency on zlib.
 ///
+/// Every durable byte passes through it, so it runs slicing-by-8: eight
+/// bytes per step through eight 256-entry tables, about five times the
+/// speed of the byte-at-a-time loop. The words are assembled from bytes,
+/// so the checksum (and every frame on disk) is the same on any host.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MUTK_PERSIST_CRC32_H

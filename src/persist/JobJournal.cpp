@@ -97,20 +97,23 @@ std::vector<PendingJob> JobJournal::load() {
   return Pending;
 }
 
+std::uint64_t
+JobJournal::write(std::uint64_t Id,
+                  const std::vector<std::uint8_t> &EncodedRequest) {
+  const std::vector<std::uint8_t> Payload = encodeSubmitted(Id, EncodedRequest);
+  MutexLock Lock(Mu);
+  const Wal::Written W = Log.write(Payload);
+  if (W.Seq == 0)
+    return 0;
+  Spans[Id] = {W.Offset, 8 + Payload.size()};
+  boundLocked();
+  return W.Seq;
+}
+
 bool JobJournal::submitted(std::uint64_t Id,
                            const std::vector<std::uint8_t> &EncodedRequest) {
-  const std::vector<std::uint8_t> Payload = encodeSubmitted(Id, EncodedRequest);
-  std::uint64_t Seq = 0;
-  {
-    MutexLock Lock(Mu);
-    const Wal::Written W = Log.write(Payload);
-    if (W.Seq == 0)
-      return false;
-    Spans[Id] = {W.Offset, 8 + Payload.size()};
-    Seq = W.Seq;
-    boundLocked();
-  }
-  return Log.syncThrough(Seq);
+  const std::uint64_t Seq = write(Id, EncodedRequest);
+  return Seq != 0 && syncThrough(Seq);
 }
 
 bool JobJournal::completed(std::uint64_t Id) {

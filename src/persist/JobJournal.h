@@ -13,7 +13,7 @@
 /// each pending job's `Submitted` frame sits in the file, and once the
 /// file passes 8 MiB it rewrites itself with only those frames, read
 /// back from disk (no request is kept in memory). It is thread-safe;
-/// concurrent `submitted` calls share one flush (`Wal::syncThrough`).
+/// concurrent `syncThrough` calls share one flush (`Wal::syncThrough`).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,8 +47,20 @@ public:
   /// pairs are dead weight after recovery).
   std::vector<PendingJob> load() MUTK_EXCLUDES(Mu);
 
-  /// Journals acceptance of \p EncodedRequest under \p Id. Synced: the
-  /// caller is about to promise the client an answer.
+  /// Journals acceptance of \p EncodedRequest under \p Id without
+  /// waiting for it to be durable. \returns the frame's sequence number
+  /// for `syncThrough`, 0 when the write failed.
+  std::uint64_t write(std::uint64_t Id,
+                      const std::vector<std::uint8_t> &EncodedRequest)
+      MUTK_EXCLUDES(Mu);
+  /// Waits until every frame up to \p Seq is durable (`Wal::syncThrough`;
+  /// concurrent callers share one flush).
+  bool syncThrough(std::uint64_t Seq) { return Log.syncThrough(Seq); }
+
+  /// `write`, then `syncThrough` the new frame. The service splits the
+  /// pair: it writes `Submitted` before the job is queued, so no
+  /// `Completed` can come first, and flushes it while a worker already
+  /// solves — it answers no caller before the frame is durable.
   bool submitted(std::uint64_t Id,
                  const std::vector<std::uint8_t> &EncodedRequest)
       MUTK_EXCLUDES(Mu);

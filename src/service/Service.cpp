@@ -212,8 +212,10 @@ std::uint64_t TreeService::storeSolution(std::uint64_t Key,
   const std::uint64_t Seq = Store->write(Rec);
   Cache.store(Key, std::move(Value));
   if (Options.WalCompactBytes != 0 &&
-      Store->walBytes() > Options.WalCompactBytes)
-    Store->compact(toDurableRecords(Cache.entries()));
+      Store->walBytes() > FailedCompactBytes + Options.WalCompactBytes)
+    FailedCompactBytes = Store->compact(toDurableRecords(Cache.entries()))
+                             ? 0
+                             : Store->walBytes();
   return Seq;
 }
 
@@ -371,12 +373,14 @@ std::future<BuildResponse> TreeService::submitAsync(BuildRequest Request) {
     }
   }
 
+  std::uint64_t JournalSeq = 0;
   if (Journal) {
     // Journal *before* the queue admits the job: once push returns the
     // worker may already be solving it, and `Completed(id)` must never
-    // reach the journal ahead of `Submitted(id)`.
+    // reach the journal ahead of `Submitted(id)`. The flush waits until
+    // the job is queued (below), so it overlaps the solve.
     J.JournalId = NextJobId.fetch_add(1, std::memory_order_relaxed);
-    Journal->submitted(J.JournalId, encodeBuildRequest(J.Request));
+    JournalSeq = Journal->write(J.JournalId, encodeBuildRequest(J.Request));
   }
 
   // Rich tickets only under QoS: with the layer off every ticket is the
@@ -401,6 +405,10 @@ std::future<BuildResponse> TreeService::submitAsync(BuildRequest Request) {
   }
 
   Counters.Accepted.inc();
+  // The caller gets the future, and with it the answer, only after
+  // `Submitted(id)` is flushed.
+  if (JournalSeq != 0)
+    Journal->syncThrough(JournalSeq);
   return Future;
 }
 

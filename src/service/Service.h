@@ -112,7 +112,8 @@ struct ServiceOptions {
   /// documented in docs/persistence.md.
   std::string StateDir;
   /// Compact the durable cache early once its WAL exceeds this many
-  /// bytes (0 = compact only on shutdown).
+  /// bytes (0 = compact only on shutdown); after a failed compaction,
+  /// once it has grown by this many more.
   std::uint64_t WalCompactBytes = 8u << 20;
   /// Sync the durable cache's records before any answer or cluster
   /// insert that depends on them (one group-committed fdatasync per
@@ -149,7 +150,9 @@ public:
   TreeService &operator=(const TreeService &) = delete;
 
   /// Enqueues a job; the future resolves when a worker answers it (every
-  /// admitted job is answered, even across shutdown).
+  /// admitted job is answered, even across shutdown). With a state dir
+  /// it returns only after flushing the job's journal record, which it
+  /// does while a worker already solves the job.
   std::future<BuildResponse> submitAsync(BuildRequest Request);
 
   /// Synchronous convenience wrapper around `submitAsync`.
@@ -309,6 +312,10 @@ private:
   std::unique_ptr<persist::CacheStore> Store;
   std::unique_ptr<persist::JobJournal> Journal;
   Mutex PersistMu{"service.persist"};
+  /// The cache WAL's size when an early compaction last failed (0 after
+  /// one succeeded): the next attempt waits for `WalCompactBytes` more,
+  /// so a snapshot that cannot be written is not retried on every store.
+  std::uint64_t FailedCompactBytes MUTK_GUARDED_BY(PersistMu) = 0;
   std::atomic<std::uint64_t> NextJobId{1};
   BlockCheckpointHooks CheckpointHooks;
 

@@ -8,7 +8,9 @@
 // job re-enqueue). The kill-and-recover test SIGKILLs a forked writer
 // mid-append and proves the survivor loads a clean prefix. The
 // GroupCommit tests prove concurrent appenders share flushes without
-// losing an acknowledged record.
+// losing an acknowledged record, and that the service's journal flushes
+// each `Submitted` frame before the answer and never files a `Completed`
+// mark ahead of it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +43,7 @@
 #include <filesystem>
 #include <future>
 #include <numeric>
+#include <random>
 #include <set>
 #include <string>
 #include <sys/resource.h>
@@ -167,6 +170,64 @@ TEST(Crc32, DetectsSingleBitFlips) {
     Data[I] ^= 0x10;
   }
   EXPECT_EQ(persist::crc32(Data), Want);
+}
+
+namespace {
+
+/// Bit-at-a-time CRC-32 over the reflected polynomial 0xEDB88320: the
+/// reference the table-driven `persist::crc32` must match bit for bit.
+std::uint32_t crc32Bitwise(const std::uint8_t *Bytes, std::size_t Size,
+                           std::uint32_t Seed = 0) {
+  std::uint32_t C = ~Seed;
+  for (std::size_t I = 0; I < Size; ++I) {
+    C ^= Bytes[I];
+    for (int K = 0; K < 8; ++K)
+      C = (C >> 1) ^ (0xEDB88320u & (0u - (C & 1u)));
+  }
+  return ~C;
+}
+
+std::vector<std::uint8_t> randomBytes(std::mt19937_64 &Rng, std::size_t N) {
+  std::vector<std::uint8_t> Bytes(N);
+  for (std::uint8_t &B : Bytes)
+    B = static_cast<std::uint8_t>(Rng());
+  return Bytes;
+}
+
+} // namespace
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryShortLengthAndOffset) {
+  // Every split of a short buffer into 8-byte steps and a byte tail, at
+  // every alignment of the start.
+  std::mt19937_64 Rng(29);
+  const std::vector<std::uint8_t> Data = randomBytes(Rng, 64 + 7);
+  for (std::size_t Start = 0; Start < 8; ++Start)
+    for (std::size_t Len = 0; Len <= 64; ++Len)
+      EXPECT_EQ(persist::crc32(Data.data() + Start, Len),
+                crc32Bitwise(Data.data() + Start, Len))
+          << "start " << Start << ", length " << Len;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceOnRandomBuffers) {
+  std::mt19937_64 Rng(31);
+  for (int Trial = 0; Trial < 24; ++Trial) {
+    const std::vector<std::uint8_t> Data =
+        randomBytes(Rng, Rng() % ((64u << 10) + 1));
+    EXPECT_EQ(persist::crc32(Data), crc32Bitwise(Data.data(), Data.size()))
+        << "length " << Data.size();
+  }
+}
+
+TEST(Crc32, ChainsAtAnySplitPoint) {
+  std::mt19937_64 Rng(37);
+  for (int Trial = 0; Trial < 64; ++Trial) {
+    const std::vector<std::uint8_t> Data = randomBytes(Rng, Rng() % 4097);
+    const std::size_t Split = Rng() % (Data.size() + 1);
+    const std::uint32_t Head = persist::crc32(Data.data(), Split);
+    EXPECT_EQ(persist::crc32(Data.data() + Split, Data.size() - Split, Head),
+              persist::crc32(Data))
+        << "length " << Data.size() << ", split " << Split;
+  }
 }
 
 TEST(Frames, ScanStopsAtDamage) {
@@ -1034,6 +1095,71 @@ TEST(ServiceRecovery, EarlyCompactionKeepsTheTriggeringRecord) {
   Service.stop();
 }
 
+#if !defined(__SANITIZE_THREAD__)
+TEST(ServiceRecovery, FailedCompactionWaitsForTheWalToGrow) {
+  ScratchDir Dir("svc_compact_fail");
+  constexpr std::uint64_t CompactBytes = 4096;
+  int Pipe[2];
+  ASSERT_EQ(::pipe(Pipe), 0);
+  pid_t Pid = fork();
+  ASSERT_GE(Pid, 0);
+  if (Pid == 0) {
+    // Child: under a 32 KB file-size limit every compaction fails once
+    // the cache outgrows it, and the WAL stops growing when it reaches
+    // it. Reports (snapshot attempts, WAL bytes written, whether a
+    // failure was logged at Warn) to the parent.
+    ::close(Pipe[0]);
+    std::signal(SIGXFSZ, SIG_IGN);
+    std::vector<persist::DurableCacheRecord> Records;
+    for (std::uint64_t Seed = 0; Seed < 8; ++Seed)
+      Records.push_back(makeRecord(Seed));
+    LogCapture Capture;
+    ServiceOptions Options;
+    Options.NumWorkers = 1;
+    Options.StateDir = Dir.path();
+    Options.WalCompactBytes = CompactBytes;
+    TreeService Service(Options);
+    rlimit Tight{};
+    ::getrlimit(RLIMIT_FSIZE, &Tight);
+    Tight.rlim_cur = 32u << 10;
+    ::setrlimit(RLIMIT_FSIZE, &Tight);
+    obs::PersistInstruments &I = obs::persistInstruments();
+    const std::uint64_t AttemptsBefore = I.SnapshotWrites.value();
+    const std::uint64_t BytesBefore = I.WalAppendBytes.value();
+    // A cluster insert stores one record, as a worker's solve does.
+    for (std::uint64_t Key = 1; Key <= 300; ++Key)
+      Service.cacheStore(Key, fromDurableRecord(Records[Key % 8]));
+    const std::uint64_t Report[3] = {
+        I.SnapshotWrites.value() - AttemptsBefore,
+        I.WalAppendBytes.value() - BytesBefore,
+        Capture.contains(
+            "level=warn comp=persist msg=\"cache compaction failed\"")};
+    _exit(::write(Pipe[1], Report, sizeof(Report)) ==
+                  static_cast<ssize_t>(sizeof(Report))
+              ? 0
+              : 2);
+  }
+  ::close(Pipe[1]);
+  std::uint64_t Report[3] = {};
+  const ssize_t Got = ::read(Pipe[0], Report, sizeof(Report));
+  ::close(Pipe[0]);
+  int Status = 0;
+  ASSERT_EQ(::waitpid(Pid, &Status, 0), Pid);
+  ASSERT_TRUE(WIFEXITED(Status));
+  ASSERT_EQ(WEXITSTATUS(Status), 0);
+  ASSERT_EQ(Got, static_cast<ssize_t>(sizeof(Report)));
+  const auto [Attempts, Written, WarnLogged] = Report;
+  // Each attempt waits for about `CompactBytes` of new WAL, failed or
+  // not, so attempts follow the bytes written: 15 for 65,280 bytes in a
+  // default build, where retrying on every store after the first
+  // failure made 174.
+  EXPECT_GT(Attempts, 1u);
+  EXPECT_LE(Attempts, Written / (CompactBytes / 2))
+      << Written << " WAL bytes written";
+  EXPECT_EQ(WarnLogged, 1u);
+}
+#endif // !__SANITIZE_THREAD__
+
 //===----------------------------------------------------------------------===//
 // Kill-and-recover
 //===----------------------------------------------------------------------===//
@@ -1294,10 +1420,50 @@ TEST(GroupCommit, UnsyncedCacheSkipsTheAnswerWait) {
     BuildRequest Req;
     Req.Matrix = smallComposition(static_cast<std::uint64_t>(R));
     ASSERT_TRUE(Service.submit(Req).ok());
+    // One request at a time: each journal `Submitted` record needs its
+    // own flush, done before the answer came back, and no cache record
+    // is ever flushed.
+    EXPECT_EQ(Syncs.value() - SyncsBefore, static_cast<std::uint64_t>(R + 1))
+        << "after request " << R;
   }
-  // One request at a time: each journal `Submitted` record needs its own
-  // flush, and no cache record is ever flushed.
-  EXPECT_EQ(Syncs.value() - SyncsBefore,
-            static_cast<std::uint64_t>(Requests));
+  Service.stop();
+}
+
+TEST(GroupCommit, JournalNeverCompletesBeforeItSubmits) {
+  ScratchDir Dir("group_order");
+  ScratchDir CopyDir("group_order_copy");
+  constexpr int Clients = 4;
+  constexpr int PerClient = 25;
+  // Three-species requests and no cache-WAL wait keep a worker's path
+  // from the queue to `Completed` short, so a `Submitted` frame written
+  // after the push would often land behind it.
+  ServiceOptions Options;
+  Options.NumWorkers = 2;
+  Options.StateDir = Dir.path();
+  Options.SyncWrites = false;
+  TreeService Service(Options);
+  std::vector<std::thread> Pool;
+  for (int C = 0; C < Clients; ++C)
+    Pool.emplace_back([&Service, C] {
+      for (int R = 0; R < PerClient; ++R) {
+        const double D = 1.0 + C * PerClient + R;
+        BuildRequest Req;
+        Req.Matrix = DistanceMatrix(3);
+        Req.Matrix.set(0, 1, D);
+        Req.Matrix.set(0, 2, D + 1.0);
+        Req.Matrix.set(1, 2, D + 1.0);
+        EXPECT_TRUE(Service.submit(std::move(Req)).ok());
+      }
+    });
+  for (std::thread &T : Pool)
+    T.join();
+  // Every job is answered, so each `Completed` frame is written. Had one
+  // reached the file ahead of its `Submitted` frame, replay would keep
+  // that job pending. Replay a copy: `load` compacts the file it reads.
+  std::optional<std::vector<std::uint8_t>> Bytes =
+      persist::readFile(Dir.file("jobs.wal"));
+  ASSERT_TRUE(Bytes.has_value());
+  ASSERT_TRUE(persist::writeFileAtomic(CopyDir.file("jobs.wal"), *Bytes));
+  EXPECT_TRUE(persist::JobJournal(CopyDir.path()).load().empty());
   Service.stop();
 }
